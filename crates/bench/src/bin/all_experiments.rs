@@ -3,6 +3,10 @@
 //! machine-readable `BENCH_results.json` (per-experiment headline numbers
 //! plus microbench timings) so the performance trajectory can be tracked
 //! across PRs instead of only via prose tables.
+//!
+//! With positional experiment ids (`all_experiments E8 a1`) it prints just
+//! those tables, in sweep order, and nothing else: no microbenches, no
+//! `BENCH_results.json`.
 
 use isis_bench::enginebench;
 use isis_bench::experiments as ex;
@@ -13,6 +17,7 @@ use isis_core::testutil::cluster;
 use isis_core::{CastData, CastKind, GroupId, IsisConfig, IsisMsg, MsgId, StabilityVector, VClock};
 use isis_hier::{HierPayload, HierState};
 use now_sim::{Pid, SimDuration};
+use std::process::ExitCode;
 
 /// The message type `now-cluster` ships over the wire: the full stack.
 type WireMsg = IsisMsg<HierPayload<String>, HierState<Vec<String>>>;
@@ -38,30 +43,31 @@ fn codec_specimen() -> WireMsg {
     })
 }
 
-fn main() {
+fn main() -> ExitCode {
     let q = isis_bench::quick_mode();
+    let only: Vec<String> = std::env::args().skip(1).collect();
+    if !only.is_empty() {
+        if let Some(bad) = only.iter().find(|id| ex::by_id(id).is_none()) {
+            let valid = ex::ALL.map(|(id, _)| id).join(" ");
+            eprintln!("all_experiments: unknown experiment {bad:?}; valid ids: {valid}");
+            return ExitCode::from(2);
+        }
+        for (id, table) in ex::ALL {
+            if only.iter().any(|o| o.eq_ignore_ascii_case(id)) {
+                table(q).print();
+            }
+        }
+        return ExitCode::SUCCESS;
+    }
+
     let jobs = isis_bench::jobs();
     let t0 = std::time::Instant::now();
-    let tables = [
-        ex::e1(q), ex::e2(q), ex::e3(q), ex::e4(q), ex::e5(q), ex::e6(q),
-        ex::e7(q), ex::e8(q), ex::e9(q), ex::e10(q), ex::a1(q), ex::a2(q),
-        ex::partitions(q), ex::availability(q),
-    ];
+    let tables: Vec<isis_bench::Table> = ex::ALL.iter().map(|(_, table)| table(q)).collect();
     let wall_clock_s = t0.elapsed().as_secs_f64();
     for t in &tables {
         t.print();
     }
     println!("sweep wall-clock: {wall_clock_s:.2} s with {jobs} job(s)");
-
-    // Full runs also sweep the engine's internal worker-shard count
-    // (`NOW_SIM_JOBS` analogue, pinned per-sim) over a fixed workload.
-    // Results are byte-identical by construction — this table reports the
-    // *wall-clock* scaling, which is machine-dependent and therefore lives
-    // outside the deterministic experiment tables.
-    let par_table = if q { None } else { Some(par_scaling()) };
-    if let Some(t) = &par_table {
-        t.print();
-    }
 
     println!("== microbench ==");
     microbenches(q);
@@ -81,18 +87,13 @@ fn main() {
             )
         })
         .collect();
-    let par_json = par_table
-        .as_ref()
-        .map(|t| format!(",\n\"par_scaling\": {}", t.to_json()))
-        .unwrap_or_default();
     let json = format!(
-        "{{\n\"quick\": {},\n\"jobs\": {},\n\"wall_clock_s\": {:.3},\n\"experiments\": [\n{}\n],\n\"microbench\": [\n{}\n]{}\n}}\n",
+        "{{\n\"quick\": {},\n\"jobs\": {},\n\"wall_clock_s\": {:.3},\n\"experiments\": [\n{}\n],\n\"microbench\": [\n{}\n]\n}}\n",
         q,
         jobs,
         wall_clock_s,
         exp_json.join(",\n"),
-        mb_json.join(",\n"),
-        par_json
+        mb_json.join(",\n")
     );
     match std::fs::write("BENCH_results.json", &json) {
         Ok(()) => println!(
@@ -102,83 +103,7 @@ fn main() {
         ),
         Err(e) => eprintln!("could not write BENCH_results.json: {e}"),
     }
-}
-
-/// Wall-clock scaling of the conservative parallel engine (`now_sim::par`)
-/// across worker-shard counts on the two engine fixtures. Each point also
-/// re-checks that the run's bytes (deliveries, kernel checksums, final
-/// clock) match the 1-shard reference — scaling must never buy a different
-/// answer. Best of 3 runs per point; speedup is relative to 1 shard.
-fn par_scaling() -> isis_bench::Table {
-    use isis_bench::report::f;
-    let mut t = isis_bench::Table::new(
-        "PAR",
-        "parallel engine: wall-clock vs worker shards (output byte-identical at every point)",
-        &["fixture", "jobs", "wall_ms", "speedup", "bytes_match"],
-    );
-    fn best_of(runs: u32, mut run: impl FnMut() -> (f64, String)) -> (f64, String) {
-        let mut best = f64::INFINITY;
-        let mut digest = String::new();
-        for _ in 0..runs {
-            let (ms, d) = run();
-            if ms < best {
-                best = ms;
-            }
-            digest = d;
-        }
-        (best, digest)
-    }
-    type Fixture = Box<dyn Fn(usize) -> (f64, String)>;
-    let fixtures: Vec<(&str, Fixture)> = vec![
-        (
-            "relay_ring_n64",
-            Box::new(|j| {
-                let (mut sim, pids) = enginebench::relay_ring_jobs(64, 5, j);
-                sim.take_tracer();
-                let t0 = std::time::Instant::now();
-                let total = enginebench::run_relay_ring(&mut sim, &pids, 300);
-                let ms = t0.elapsed().as_secs_f64() * 1e3;
-                let digest = format!(
-                    "{total}/{:x}/{}",
-                    enginebench::relay_digest(&sim, &pids),
-                    sim.now().as_micros()
-                );
-                (ms, digest)
-            }),
-        ),
-        (
-            "fanout_n64",
-            Box::new(|j| {
-                let (mut sim, hub) = enginebench::fanout_star_jobs(64, 6, j);
-                sim.take_tracer();
-                let t0 = std::time::Instant::now();
-                let done = enginebench::run_fanout_star(&mut sim, hub, 200);
-                let ms = t0.elapsed().as_secs_f64() * 1e3;
-                (ms, format!("{done}/{}", sim.now().as_micros()))
-            }),
-        ),
-    ];
-    for (name, fixture) in fixtures {
-        let mut base_ms = 0.0;
-        let mut base_digest = String::new();
-        for jobs in [1usize, 2, 4, 8] {
-            let (ms, digest) = best_of(3, || fixture(jobs));
-            if jobs == 1 {
-                base_ms = ms;
-                base_digest = digest.clone();
-            }
-            t.row(vec![
-                name.to_string(),
-                jobs.to_string(),
-                f(ms),
-                f(base_ms / ms),
-                (digest == base_digest).to_string(),
-            ]);
-        }
-    }
-    t.note("bytes_match: the shard layout reproduced the 1-shard deliveries/checksums/clock exactly");
-    t.note("wall-clock only — determinism tests prove the output bytes are layout-invariant");
-    t
+    ExitCode::SUCCESS
 }
 
 /// A compact subset of `benches/hotpaths.rs`, cheap enough to ride along
@@ -282,42 +207,6 @@ fn microbenches(quick: bool) {
             BatchSize::PerIteration,
         );
     });
-    g.finish();
-
-    // The same fixtures with the worker-shard count pinned: `_j1` is the
-    // sequential reference, `_j4` takes the conservative parallel path
-    // (byte-identical output; only wall-clock may differ). Both sit on the
-    // bench_gate watchlist so a regression in either path trips CI.
-    let mut g = c.benchmark_group("sim_step_par");
-    g.sample_size(5).time_budget(sim_budget);
-    for jobs in [1usize, 4] {
-        g.bench_function(format!("relay_ring_n64_j{jobs}"), |b| {
-            b.iter_batched(
-                || {
-                    let (mut sim, pids) = enginebench::relay_ring_jobs(64, 5, jobs);
-                    sim.take_tracer();
-                    (sim, pids)
-                },
-                |(mut sim, pids)| {
-                    assert_eq!(enginebench::run_relay_ring(&mut sim, &pids, 300), 64 * 301);
-                },
-                BatchSize::PerIteration,
-            );
-        });
-        g.bench_function(format!("fanout_n64_j{jobs}"), |b| {
-            b.iter_batched(
-                || {
-                    let (mut sim, hub) = enginebench::fanout_star_jobs(64, 6, jobs);
-                    sim.take_tracer();
-                    (sim, hub)
-                },
-                |(mut sim, hub)| {
-                    assert_eq!(enginebench::run_fanout_star(&mut sim, hub, 200), 200);
-                },
-                BatchSize::PerIteration,
-            );
-        });
-    }
     g.finish();
 
     let mut g = c.benchmark_group("codec");

@@ -22,7 +22,6 @@ use std::process::ExitCode;
 const WATCH: &[&str] = &[
     "vclock/",
     "sim_step/",
-    "sim_step_par/",
     "multicast/",
     "codec/",
     "flat_group/abcast_n8",

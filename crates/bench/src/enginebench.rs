@@ -2,22 +2,18 @@
 //! on top, so `sim_step/*` and `multicast/*` time the simulator itself —
 //! event pop, route, deliver, and multicast fan-out — rather than ISIS.
 //!
-//! The fixtures are shaped for the conservative parallel engine
-//! (`NOW_SIM_JOBS`, see `now_sim::par`): they run on the LAN latency model
-//! (1 ms base latency = 1 ms of lookahead per window), keep one message in
-//! flight *per process* rather than one per simulation, and burn a small
-//! deterministic compute kernel on every delivery. Each lookahead window
-//! then carries `n` independent deliveries that worker shards can chew
-//! through concurrently; with `jobs = 1` the same fixtures degrade to the
-//! plain sequential hot path. Byte-for-byte results (deliveries, checksums,
-//! final clock) are identical at any job count — only wall-clock changes.
+//! The fixtures run on the LAN latency model (1 ms base latency), keep one
+//! message in flight *per process* rather than one per simulation, and burn
+//! a small deterministic compute kernel on every delivery, so the event
+//! queue always holds `n` independent deliveries. The committed
+//! `sim_step/*` and `multicast/*` baselines in `BENCH_results.json` were
+//! recorded on exactly this shape.
 
 use now_sim::{Ctx, Pid, Process, Sim, SimConfig, SimTime};
 
 /// SplitMix64 rounds per relay delivery: the stand-in for per-message
 /// application work (deserialize, apply, log). Sized so a delivery costs
-/// on the order of a microsecond — enough for a 1 ms window of them to
-/// amortise the parallel engine's per-window barrier.
+/// on the order of a microsecond.
 pub const RELAY_WORK: u32 = 256;
 
 /// SplitMix64 rounds per fan-out `Ping` delivery at a spoke.
@@ -66,20 +62,10 @@ impl Process for Relay {
     }
 }
 
-/// Builds a ring of `n` relays on the LAN latency model; the worker-shard
-/// count comes from `NOW_SIM_JOBS` (see [`relay_ring_jobs`] to pin it).
+/// Builds a ring of `n` relays on the LAN latency model.
 pub fn relay_ring(n: usize, seed: u64) -> (Sim<Relay>, Vec<Pid>) {
-    relay_ring_with(n, SimConfig::lan(seed))
-}
-
-/// [`relay_ring`] with an explicit worker-shard count.
-pub fn relay_ring_jobs(n: usize, seed: u64, jobs: usize) -> (Sim<Relay>, Vec<Pid>) {
-    relay_ring_with(n, SimConfig::lan(seed).with_jobs(jobs))
-}
-
-fn relay_ring_with(n: usize, cfg: SimConfig) -> (Sim<Relay>, Vec<Pid>) {
     assert!(n >= 2, "a ring needs at least two relays");
-    let mut sim = Sim::new(cfg);
+    let mut sim = Sim::new(SimConfig::lan(seed));
     let nodes = sim.add_nodes(n);
     let pids: Vec<Pid> = nodes
         .iter()
@@ -112,12 +98,6 @@ pub fn run_relay_ring(sim: &mut Sim<Relay>, pids: &[Pid], hops: u64) -> u64 {
     pids.iter().map(|&p| sim.process(p).delivered).sum()
 }
 
-/// XOR of every relay's checksum: a one-word digest of the whole run that
-/// any nondeterminism (ordering, payload, hop count) would perturb.
-pub fn relay_digest(sim: &Sim<Relay>, pids: &[Pid]) -> u64 {
-    pids.iter().map(|&p| sim.process(p).checksum).fold(0, |a, c| a ^ c)
-}
-
 /// Star fan-out message: the hub multicasts a heap payload, spokes ack it.
 #[derive(Clone, Debug)]
 pub enum FanMsg {
@@ -130,8 +110,7 @@ pub enum FanMsg {
 /// Star hub/spoke: the hub multicasts `Ping` to every spoke; each spoke
 /// burns the compute kernel on the payload and acks. Once a full round of
 /// acks is back the hub starts another, keeping up to [`FAN_BURST`] rounds
-/// outstanding so the event queue always holds a window's worth of
-/// independent deliveries.
+/// outstanding so the event queue always holds independent deliveries.
 pub struct Fanout {
     spokes: Vec<Pid>,
     acks: usize,
@@ -180,20 +159,10 @@ fn start_round(hub: &mut Fanout, ctx: &mut Ctx<'_, FanMsg>) {
 }
 
 /// Builds a hub plus `n - 1` spokes on the LAN latency model; returns the
-/// sim and the hub's pid. Worker-shard count from `NOW_SIM_JOBS` (see
-/// [`fanout_star_jobs`] to pin it).
+/// sim and the hub's pid.
 pub fn fanout_star(n: usize, seed: u64) -> (Sim<Fanout>, Pid) {
-    fanout_star_with(n, SimConfig::lan(seed))
-}
-
-/// [`fanout_star`] with an explicit worker-shard count.
-pub fn fanout_star_jobs(n: usize, seed: u64, jobs: usize) -> (Sim<Fanout>, Pid) {
-    fanout_star_with(n, SimConfig::lan(seed).with_jobs(jobs))
-}
-
-fn fanout_star_with(n: usize, cfg: SimConfig) -> (Sim<Fanout>, Pid) {
     assert!(n >= 2, "a star needs a hub and at least one spoke");
-    let mut sim = Sim::new(cfg);
+    let mut sim = Sim::new(SimConfig::lan(seed));
     let nodes = sim.add_nodes(n);
     let pids: Vec<Pid> = nodes
         .iter()
@@ -255,29 +224,5 @@ mod tests {
             (done, sim.process(hub).checksum, sim.now())
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn parallel_fixture_runs_are_byte_identical() {
-        // The fixtures are exactly the workload `par_eligible` wants (64
-        // processes, LAN lookahead, a full queue), so jobs = 4 takes the
-        // real sharded path — and must reproduce the sequential run's
-        // deliveries, checksums, and final clock bit for bit.
-        let relay = |jobs| {
-            let (mut sim, pids) = relay_ring_jobs(64, 5, jobs);
-            let total = run_relay_ring(&mut sim, &pids, 40);
-            (total, relay_digest(&sim, &pids), sim.now())
-        };
-        assert_eq!(relay(1), relay(4));
-
-        let fan = |jobs| {
-            let (mut sim, hub) = fanout_star_jobs(64, 6, jobs);
-            let done = run_fanout_star(&mut sim, hub, 30);
-            let sum: u64 = (0..64u32)
-                .map(|i| sim.process(Pid(i)).checksum)
-                .fold(0, |a, c| a ^ c);
-            (done, sum, sim.now())
-        };
-        assert_eq!(fan(1), fan(4));
     }
 }

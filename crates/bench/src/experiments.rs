@@ -16,6 +16,34 @@ use crate::harness::{
 };
 use crate::report::{f, Table};
 
+/// Builds one experiment's table; the argument is quick mode.
+pub type TableFn = fn(bool) -> Table;
+
+/// Every experiment in sweep order: `(id, table builder)`.
+pub const ALL: [(&str, TableFn); 14] = [
+    ("E1", e1),
+    ("E2", e2),
+    ("E3", e3),
+    ("E4", e4),
+    ("E5", e5),
+    ("E6", e6),
+    ("E7", e7),
+    ("E8", e8),
+    ("E9", e9),
+    ("E10", e10),
+    ("A1", a1),
+    ("A2", a2),
+    ("EP", partitions),
+    ("EA", availability),
+];
+
+/// Looks an experiment up by its id, case-insensitively.
+pub fn by_id(id: &str) -> Option<TableFn> {
+    ALL.iter()
+        .find(|(known, _)| known.eq_ignore_ascii_case(id))
+        .map(|&(_, table)| table)
+}
+
 fn sizes(quick: bool, full: &[usize], small: &[usize]) -> Vec<usize> {
     if quick { small.to_vec() } else { full.to_vec() }
 }
@@ -1053,4 +1081,24 @@ pub fn availability(quick: bool) -> Table {
     t.note("coverage = mean fraction of the original n members delivering each post-crash lbcast");
     t.note("recovery off: coverage decays ~1/n per crash; on: restarts rejoin and it stays ~1.0");
     t
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_experiment_id_resolves_and_unknown_ones_do_not() {
+        let ids = [
+            "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "A1", "A2", "EP", "EA",
+        ];
+        assert_eq!(ALL.map(|(id, _)| id), ids, "sweep order");
+        for id in ids {
+            assert!(by_id(id).is_some(), "{id} must resolve");
+            assert!(by_id(&id.to_lowercase()).is_some(), "{id} in lower case");
+        }
+        for bad in ["E0", "E11", "E", "PAR", ""] {
+            assert!(by_id(bad).is_none(), "{bad:?} must not resolve");
+        }
+    }
 }

@@ -1,7 +1,8 @@
 //! `isis-bench` — the experiment harness: every quantitative claim in the
 //! paper has an experiment here (E1–E10), plus two design ablations
-//! (A1–A2) and a partition scenario. Each `e*`/`a*` binary prints the
-//! corresponding table; `QUICK=1` shrinks the sweeps.
+//! (A1–A2), a partition scenario (EP) and availability under churn (EA).
+//! `all_experiments` prints every table, or just the ids it is given;
+//! `QUICK=1` shrinks the sweeps.
 
 pub mod enginebench;
 pub mod experiments;

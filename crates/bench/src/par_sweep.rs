@@ -8,9 +8,7 @@
 //! thread count:
 //!
 //! - each point's closure builds, runs, and measures its own `Sim` entirely
-//!   inside one worker — sweep points never share simulator state (a `Sim`
-//!   may itself shard across threads via `NOW_SIM_JOBS`, but that is the
-//!   engine's own, byte-identical parallelism; see `now_sim::par`);
+//!   inside one worker (a `Sim` is `!Send` — it never crosses a thread);
 //! - results are written back **by input index**, so collection order equals
 //!   input order regardless of which worker finishes first;
 //! - no worker touches ambient RNG or shared mutable state beyond the
@@ -128,9 +126,8 @@ mod tests {
 
     #[test]
     fn non_send_state_stays_inside_one_worker() {
-        // A !Send value (Rc) can be created and consumed inside the closure:
-        // sweep points may keep thread-local state without it ever crossing
-        // a worker boundary.
+        // A !Send value (Rc) can be created and consumed inside the closure —
+        // exactly how sweep points build and run their !Send `Sim`s.
         let out = par_sweep_jobs(4, (0..16).collect::<Vec<usize>>(), |i| {
             let rc = std::rc::Rc::new(i);
             *rc * 2

@@ -1,5 +1,5 @@
 //! Experiment report formatting: aligned text tables, one per
-//! paper-claim experiment, printed by the `e*_*` binaries and asserted on
+//! paper-claim experiment, printed by `all_experiments` and asserted on
 //! by the test suite.
 
 use std::fmt::Write as _;

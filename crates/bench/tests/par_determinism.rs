@@ -39,55 +39,3 @@ fn quick_sweep_is_byte_identical_at_any_job_count() {
         "NOW_JOBS must never change what a sweep emits"
     );
 }
-
-/// One engine-fixture run digested to a string: deliveries, kernel
-/// checksums, the full counter table, and the final clock. Any divergence
-/// between worker-shard layouts lands here.
-fn relay_digest(jobs: usize, traced: bool) -> String {
-    use isis_bench::enginebench as eb;
-    let (mut sim, pids) = eb::relay_ring_jobs(64, 9, jobs);
-    if traced {
-        sim.set_tracer(now_trace::Tracer::new().retain_all());
-    } else {
-        sim.take_tracer();
-    }
-    let total = eb::run_relay_ring(&mut sim, &pids, 60);
-    let trace = sim.take_tracer().map_or(0, |mut t| t.drain_events().len());
-    format!(
-        "total={total} sum={:x} counters={:?} now={} trace_events={trace}",
-        eb::relay_digest(&sim, &pids),
-        sim.stats().counters(),
-        sim.now().as_micros(),
-    )
-}
-
-/// The two parallelism layers compose: `NOW_JOBS` sweep workers each
-/// running sims whose *internal* worker-shard count (`NOW_SIM_JOBS`,
-/// pinned per-sim here to stay race-free) is 1, 2, or 4 — every
-/// combination must produce the same bytes. Tracing on vs off must not
-/// change the non-trace bytes either, in any layout.
-#[test]
-fn engine_shards_compose_with_sweep_workers() {
-    let reference = relay_digest(1, false);
-    for sweep_workers in [1usize, 4] {
-        let points: Vec<usize> = vec![1, 2, 4, 1, 2, 4];
-        let digests =
-            isis_bench::par_sweep_jobs(sweep_workers, points, |j| relay_digest(j, false));
-        for d in &digests {
-            assert_eq!(
-                d, &reference,
-                "sim shards (NOW_SIM_JOBS analogue) leaked into results under \
-                 {sweep_workers} sweep worker(s)"
-            );
-        }
-    }
-    // Tracing must be an observer: same non-trace bytes, and the trace
-    // itself identical across shard layouts (compare via event count here;
-    // the sim crate's own tests compare event-by-event).
-    let traced_seq = relay_digest(1, true);
-    let traced_par = relay_digest(4, true);
-    assert_eq!(traced_seq, traced_par, "trace digest diverged across shard layouts");
-    let (seq_head, _) = traced_seq.rsplit_once(" trace_events=").expect("digest shape");
-    let (ref_head, _) = reference.rsplit_once(" trace_events=").expect("digest shape");
-    assert_eq!(seq_head, ref_head, "arming the tracer changed the run itself");
-}

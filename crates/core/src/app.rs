@@ -22,13 +22,11 @@ pub type MsgOf<A> = IsisMsg<<A as Application>::Payload, <A as Application>::Sta
 /// group, deliveries respect the requested broadcast ordering and view
 /// changes are delivered between (never amid) the message sets of two
 /// views.
-pub trait Application: Sized + Send + 'static {
-    /// Payload of casts and direct messages. `Send + Sync` (like the
-    /// engine's `Process::Msg`) so in-flight messages can cross worker
-    /// shards when a run executes in parallel (`NOW_SIM_JOBS`).
-    type Payload: Clone + std::fmt::Debug + Send + Sync + 'static;
+pub trait Application: Sized + 'static {
+    /// Payload of casts and direct messages.
+    type Payload: Clone + std::fmt::Debug + 'static;
     /// State-transfer snapshot installed into joining members.
-    type State: Clone + std::fmt::Debug + Default + Send + Sync + 'static;
+    type State: Clone + std::fmt::Debug + Default + 'static;
 
     /// A group broadcast was delivered.
     fn on_deliver(

@@ -48,11 +48,10 @@
 //!   and no arm for a variant `E` no longer has. Decode matches on a tag
 //!   byte with a `BadTag` catch-all, so drift compiles silently — R8 makes
 //!   it a lint failure instead of a codec-fuzz lottery.
-//! - **R9** — thread-topology audit for the threaded modules (`crates/net`
-//!   and the parallel engine `crates/sim/src/par.rs`): cross-thread mutable
+//! - **R9** — thread-topology audit for `crates/net`: cross-thread mutable
 //!   state flows only through `mpsc` channels or declared atomics. The
 //!   constructs that would break that shape (`Mutex`, `RwLock`, `Condvar`,
-//!   `UnsafeCell`, `static mut`) are banned there.
+//!   `UnsafeCell`, `static mut`) are banned in the net crate.
 //! - **R10** — every `// detlint: allow(...)` directive must still
 //!   suppress a live finding; stale or unknown-rule directives are
 //!   findings themselves, so suppressions cannot outlive their reason.
@@ -62,13 +61,6 @@
 //! are the *point* — a daemon speaking sockets cannot run on simulated
 //! time. The protocol crates it hosts remain fully covered: they never
 //! read a clock or spawn a thread themselves, they only see `Ctx`.
-//!
-//! Second, narrower carve-out: `crates/sim/src/par.rs` (the conservative
-//! parallel engine) may use `thread::scope`/`thread::spawn` — parallelism
-//! there is a pure throughput device whose output is byte-identical to the
-//! sequential run, so threads do not make it nondeterministic. Everything
-//! else R2 bans (wall clocks, unseeded RNG) stays banned in that file, and
-//! R9 audits its cross-thread state the same way it audits `crates/net`.
 //!
 //! Escape hatch: a finding is suppressed by a comment on the same or the
 //! preceding line whose whole text is `detlint: allow(R1): <justification>`
@@ -221,16 +213,6 @@ const R2_SCOPE: [&str; 6] = [
 /// accept/reader/daemon loops are genuinely concurrent.
 const R5_THREADS_OK: [&str; 2] = ["crates/bench/", "crates/net/"];
 
-/// The one file inside R2's scope allowed to use the two OS-thread tokens:
-/// the conservative parallel engine (`now_sim::par`). It runs worker shards
-/// on scoped threads *without* giving up determinism — every ordering
-/// decision is made by the deterministic `(time, class, seq, src)` merge,
-/// never by the scheduler — so the thread ban is lifted for exactly those
-/// two tokens, there and nowhere else. Wall clocks and unseeded RNG remain
-/// banned in the file, and R9's mutable-state audit (mpsc channels only, no
-/// locks) covers it alongside `crates/net`.
-const PAR_ENGINE: &str = "crates/sim/src/par.rs";
-
 /// Protocol crates under the unwrap policy (R3) and dead-code rule (R4).
 const R3_SCOPE: [&str; 3] = ["crates/trace/src/", "crates/core/src/", "crates/hier/src/"];
 
@@ -371,11 +353,6 @@ fn lint_source_inner(rel: &str, lines: &[Line], used: &mut BTreeSet<usize>) -> V
         // R2: ambient nondeterminism, everywhere in scope (tests included).
         if in_scope(rel, &R2_SCOPE) {
             for (tok, why) in R2_BANNED {
-                // Carve-out: the parallel engine may use scoped OS threads
-                // (see `PAR_ENGINE`); its clock and RNG stay banned.
-                if rel == PAR_ENGINE && why == "OS thread" {
-                    continue;
-                }
                 let hit = if tok.contains("::") {
                     line.code.contains(tok)
                 } else {
@@ -1008,47 +985,34 @@ impl RepState {
         }
     }
 
-    // ----- parallel-engine carve-out ----------------------------------
-
     #[test]
-    fn parallel_engine_may_use_scoped_threads() {
-        // The conservative parallel engine runs worker shards on scoped
-        // threads; the thread tokens are exempt in exactly that file.
-        let src = "fn cycle() { std::thread::scope(|s| { s.spawn(|| {}); }); }\n";
-        assert!(lint_source("crates/sim/src/par.rs", src).is_empty());
+    fn the_sim_crate_has_no_thread_carve_out() {
+        // Seeded violations: the simulator is one sequential loop, so a
+        // thread token anywhere in `crates/sim` — the retired parallel
+        // engine's old file included — fires R2.
+        let scoped = "fn t() { std::thread::scope(|s| { s.spawn(|| {}); }); }\n";
         let spawn = "fn go() { let h = std::thread::spawn(|| {}); h.join().ok(); }\n";
-        assert!(lint_source("crates/sim/src/par.rs", spawn).is_empty());
-    }
-
-    #[test]
-    fn parallel_engine_carve_out_is_threads_only() {
-        // Seeded violations: everything else R2 bans stays banned in the
-        // engine file — a wall-clock read or ambient RNG there would let
-        // real scheduling leak into simulated time.
-        let clock = "fn h() { let _ = std::time::Instant::now(); }\n";
-        let f = lint_source("crates/sim/src/par.rs", clock);
-        assert_eq!(rules_of(&f), vec![Rule::R2]);
-        let rng = "fn h() { let mut r = thread_rng(); }\n";
-        let f = lint_source("crates/sim/src/par.rs", rng);
-        assert_eq!(rules_of(&f), vec![Rule::R2]);
-    }
-
-    #[test]
-    fn parallel_engine_carve_out_does_not_leak_to_neighbours() {
-        // Seeded violation: the exemption is the one file, not the crate —
-        // a thread token in any sibling sim source still fires R2.
-        let src = "fn t() { std::thread::scope(|s| { s.spawn(|| {}); }); }\n";
         for rel in [
+            "crates/sim/src/par.rs",
             "crates/sim/src/engine.rs",
-            "crates/sim/src/pars.rs",
-            "crates/sim/tests/par.rs",
+            "crates/sim/tests/engine_props.rs",
         ] {
-            let f = lint_source(rel, src);
-            assert!(
-                f.iter().any(|x| x.rule == Rule::R2),
-                "{rel} must still be under R2's thread ban: {f:?}"
-            );
+            for src in [scoped, spawn] {
+                let f = lint_source(rel, src);
+                assert!(
+                    f.iter().any(|x| x.rule == Rule::R2),
+                    "{rel} must be under R2's thread ban: {f:?}"
+                );
+            }
         }
+        // And with no threads there, R9 audits `crates/net/` only: a lock in
+        // single-threaded sim code is not a topology hazard.
+        let lock = |rel: &str| SourceFile {
+            rel: rel.to_string(),
+            text: "fn merge() { let shared = std::sync::Mutex::new(0); }\n".to_string(),
+        };
+        assert!(threads::lint_r9(&[lock("crates/sim/src/par.rs")]).is_empty());
+        assert!(!threads::lint_r9(&[lock("crates/net/src/daemon.rs")]).is_empty());
     }
 
     #[test]

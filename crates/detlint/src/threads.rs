@@ -1,4 +1,4 @@
-//! Thread-topology audit for the threaded modules (rule R9).
+//! Thread-topology audit for `crates/net` (rule R9).
 //!
 //! The daemon's concurrency contract is structural: one core thread owns
 //! all mutable protocol state, satellite threads (accept loop, per-
@@ -12,26 +12,13 @@
 //! `Condvar`, `UnsafeCell`, `static mut`) anywhere in `crates/net`, and
 //! [`net_topology`] exposes the spawn/channel/Arc graph so tests can pin
 //! the intended ensemble.
-//!
-//! The conservative parallel engine (`crates/sim/src/par.rs`) is the only
-//! other place in the workspace that runs threads, and its determinism
-//! argument leans on the same shape: worker shards exchange state with the
-//! coordinator exclusively over `mpsc` channels, never through shared
-//! memory, so the merge order — not the scheduler — decides every byte.
-//! R9 audits it under the same bans as `crates/net`.
 
 use crate::scrub::{scrub, Line};
 use crate::tok::{is_ident, path_chain, tokenize};
 use crate::{has_ident, Finding, Rule, SourceFile};
 
-/// The code under audit: the net backend plus the parallel engine — every
-/// file in the workspace that is allowed to touch an OS thread outside the
-/// bench harness.
-const R9_SCOPE: [&str; 2] = ["crates/net/", "crates/sim/src/par.rs"];
-
-fn in_r9_scope(rel: &str) -> bool {
-    R9_SCOPE.iter().any(|p| rel.starts_with(p))
-}
+/// The crate under audit.
+const NET_SCOPE: &str = "crates/net/";
 
 /// Constructs that would let mutable state cross threads outside channels
 /// and declared atomics.
@@ -146,12 +133,11 @@ fn scan_file(rel: &str, lines: &[Line], topo: &mut Topology) {
     }
 }
 
-/// Builds the spawn/channel/Arc/atomic graph of every file under R9's
-/// scope (the net backend and the parallel engine).
+/// Builds the spawn/channel/Arc/atomic graph of every file in `crates/net`.
 pub fn net_topology(files: &[SourceFile]) -> Topology {
     let mut topo = Topology::default();
     for f in files {
-        if in_r9_scope(&f.rel) {
+        if f.rel.starts_with(NET_SCOPE) {
             scan_file(&f.rel, &scrub(&f.text), &mut topo);
         }
     }
@@ -163,7 +149,7 @@ pub fn net_topology(files: &[SourceFile]) -> Topology {
 pub fn lint_r9(files: &[SourceFile]) -> Vec<Finding> {
     let mut out = Vec::new();
     for f in files {
-        if !in_r9_scope(&f.rel) {
+        if !f.rel.starts_with(NET_SCOPE) {
             continue;
         }
         let lines = scrub(&f.text);
@@ -175,7 +161,7 @@ pub fn lint_r9(files: &[SourceFile]) -> Vec<Finding> {
                         line: idx + 1,
                         rule: Rule::R9,
                         message: format!(
-                            "`{tok}` ({why}) in a threaded module — cross-thread mutable \
+                            "`{tok}` ({why}) in the net backend — cross-thread mutable \
                              state must flow through mpsc channels or declared atomics \
                              (single-owner core thread, message-passing satellites)"
                         ),
@@ -187,7 +173,7 @@ pub fn lint_r9(files: &[SourceFile]) -> Vec<Finding> {
                     file: f.rel.clone(),
                     line: idx + 1,
                     rule: Rule::R9,
-                    message: "`static mut` in a threaded module — cross-thread mutable \
+                    message: "`static mut` in the net backend — cross-thread mutable \
                               state must flow through mpsc channels or declared atomics"
                         .to_string(),
                 });
@@ -237,40 +223,5 @@ mod tests {
     fn locks_outside_net_are_not_r9_business() {
         let f = sf("crates/bench/src/par_sweep.rs", "use std::sync::Mutex;\n");
         assert!(lint_r9(&[f]).is_empty());
-    }
-
-    #[test]
-    fn parallel_engine_is_under_the_r9_audit() {
-        // Seeded violation: a lock smuggled into the parallel engine must
-        // be flagged exactly like one in the net backend.
-        let bad = sf(
-            "crates/sim/src/par.rs",
-            "fn merge() {\n  let shared = std::sync::Mutex::new(Vec::new());\n}\n",
-        );
-        let out = lint_r9(std::slice::from_ref(&bad));
-        assert_eq!(out.len(), 1, "{out:?}");
-        assert_eq!(out[0].rule, Rule::R9);
-        assert_eq!(out[0].line, 2);
-
-        // `static mut` is caught too.
-        let worse = sf("crates/sim/src/par.rs", "static mut SLOTS: u32 = 0;\n");
-        assert_eq!(lint_r9(&[worse]).len(), 1);
-
-        // The sanctioned shape — scoped threads plus mpsc — is clean, and
-        // the topology census sees the engine's spawn/channel sites.
-        let good = sf(
-            "crates/sim/src/par.rs",
-            "fn cycle() {\n  let (tx, rx) = mpsc::sync_channel(8);\n  std::thread::spawn(move || drop(tx));\n}\n",
-        );
-        assert!(lint_r9(std::slice::from_ref(&good)).is_empty());
-        let topo = net_topology(&[good]);
-        assert_eq!(topo.spawns.len(), 1);
-        assert_eq!(topo.channels.len(), 1);
-
-        // The rest of the sim crate stays outside R9 (R2 already bans
-        // threads there; a Mutex in single-threaded code is dead weight but
-        // not a topology hazard).
-        let other = sf("crates/sim/src/engine.rs", "use std::sync::Mutex;\n");
-        assert!(lint_r9(&[other]).is_empty());
     }
 }

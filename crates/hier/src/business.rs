@@ -149,13 +149,11 @@ impl<'x, 'a, 'b, B: LargeApp> LargeUplink<'x, 'a, 'b, B> {
 }
 
 /// Domain logic running above the hierarchical group layer.
-pub trait LargeApp: Sized + Send + 'static {
+pub trait LargeApp: Sized + 'static {
     /// Business payload carried by broadcasts and direct messages.
-    /// `Send + Sync` (like `Application::Payload`) so in-flight messages
-    /// can cross worker shards in a parallel run (`NOW_SIM_JOBS`).
-    type Payload: Clone + std::fmt::Debug + Send + Sync + 'static;
+    type Payload: Clone + std::fmt::Debug + 'static;
     /// Leaf-level replicated state installed into members joining a leaf.
-    type LeafState: Clone + std::fmt::Debug + Default + Send + Sync + 'static;
+    type LeafState: Clone + std::fmt::Debug + Default + 'static;
 
     /// A large-group broadcast was delivered (total order per leaf,
     /// globally sequenced by the root).

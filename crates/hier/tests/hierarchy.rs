@@ -440,3 +440,59 @@ fn small_group_degenerate_case_still_works() {
         assert_eq!(log, vec!["tiny".to_string()]);
     }
 }
+
+// ---------------------------------------------------------------------
+// Application types are not required to be thread-safe
+// ---------------------------------------------------------------------
+
+/// A business payload may hold an `Rc`: the whole stack runs inside one
+/// sequential simulator loop, so neither `LargeApp` nor the traits beneath
+/// it (`Application`, `Process`) ask for `Send` or `Sync`.
+#[test]
+fn large_app_payload_may_hold_an_rc() {
+    use isis_core::IsisConfig;
+    use isis_hier::harness::generic_large_cluster;
+    use isis_hier::{LargeApp, LargeGroupId, LargeUplink};
+    use now_sim::SimConfig;
+    use std::rc::Rc;
+
+    #[derive(Default)]
+    struct RcBiz {
+        got: Vec<Rc<str>>,
+    }
+
+    impl LargeApp for RcBiz {
+        type Payload = Rc<str>;
+        type LeafState = Vec<Rc<str>>;
+
+        fn on_lbcast(
+            &mut self,
+            _lgid: LargeGroupId,
+            _origin: Pid,
+            payload: &Rc<str>,
+            _up: &mut LargeUplink<'_, '_, '_, Self>,
+        ) {
+            self.got.push(Rc::clone(payload));
+        }
+    }
+
+    let lgid = LargeGroupId(1);
+    let (mut sim, _leaders, members) = generic_large_cluster(
+        6,
+        LargeGroupConfig::new(2, 3),
+        IsisConfig::default(),
+        SimConfig::ideal(11),
+        |_| RcBiz::default(),
+    );
+
+    let id = sim.invoke(members[0], |p, ctx| {
+        p.with_app(ctx, |app, up| app.lbcast(lgid, Rc::from("quote"), up))
+    });
+    assert!(id.flatten().is_some(), "a joined member can broadcast");
+    sim.run_for(SimDuration::from_secs(30));
+    for &m in &members {
+        let got = &sim.process(m).app().biz().got;
+        assert_eq!(got.len(), 1, "{m} delivers the broadcast exactly once");
+        assert_eq!(&*got[0], "quote");
+    }
+}

@@ -2,37 +2,32 @@
 //!
 //! A [`Sim`] owns a set of workstations ([`crate::ids::NodeId`]) hosting
 //! processes, a pending-event queue ordered by simulated time, seeded RNGs,
-//! and the global [`Stats`]. Everything is fully deterministic: two runs
-//! with the same seed and the same sequence of harness calls produce
-//! byte-identical statistics — *at any worker-shard count*. Determinism is
-//! what lets the experiment harness make exact claims about message counts.
+//! and the global [`Stats`]. Everything is single-threaded and fully
+//! deterministic: two runs with the same seed and the same sequence of
+//! harness calls produce byte-identical statistics. Determinism is what lets
+//! the experiment harness make exact claims about message counts.
 //!
 //! Every per-process effect the outside world can see — RNG draws, event
-//! sequence numbers, timer ids, wire handles — comes from *per-process*
-//! state advanced in that process's own execution order. A process's
-//! execution order is the same whether the run is sequential or sharded
-//! across workers (see [`crate::par`]), so all derived bytes are
-//! shard-count-invariant by construction. The event queue orders entries by
+//! sequence numbers, timer ids — comes from *per-process* state advanced in
+//! that process's own execution order. The event queue orders entries by
 //! the total key `(time, class, seq, source)`: `class` 0 is reserved for
 //! control events (crash/restart/partition) so they apply before same-time
-//! traffic in both execution modes, `seq` is the per-source counter, and
-//! `source` breaks the remaining ties.
+//! traffic, `seq` is the per-source counter, and `source` breaks the
+//! remaining ties.
 //!
 //! The hot paths — `route`, `step`, counter bumps — are allocation-free:
 //! counters are interned ids, the per-callback action buffer is reused
-//! across invocations, multicast shares one payload `Arc` across all
+//! across invocations, multicast shares one payload `Rc` across all
 //! destinations, and the FIFO channel clock is a flat dense table.
 //!
 //! The send/deliver/timer surface lives in [`crate::transport`]: the sim is
 //! the default [`Transport`] implementation, and the process-hosting runtime
 //! (clock snapshot, RNG, stats, tracer, action buffer) is the shared
-//! [`Endpoint`] that real backends reuse unchanged. Conservative parallel
-//! execution of a single run lives in [`crate::par`] and is enabled with
-//! `NOW_SIM_JOBS` (or [`Sim::set_jobs`]).
+//! [`Endpoint`] that real backends reuse unchanged.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
-use std::sync::Arc;
+use std::collections::BinaryHeap;
+use std::rc::Rc;
 
 use now_trace::{EventKind as TraceKind, Tracer};
 
@@ -40,17 +35,9 @@ use crate::det_rand::{DetRng, SplitMix64};
 
 use crate::ids::{NodeId, Pid, SiteId, TimerId};
 use crate::net::{NetConfig, Partition};
-use crate::par::ShardCtx;
 use crate::stats::{ObservationLog, Stats};
 use crate::time::{SimDuration, SimTime};
 use crate::transport::{dispatch, Action, Ctx, Endpoint, Transport};
-
-/// Bit 63 marks a wire id as a *handle* (resolved through `Sim::wire_map`)
-/// rather than a raw trace seq. Handles are used whenever `jobs > 1`: they
-/// are allocated from per-process counters, so they are identical no matter
-/// how the run is sharded, while raw trace seqs are only assigned at global
-/// merge time.
-pub(crate) const WIRE_HANDLE: u64 = 1 << 63;
 
 /// Behaviour of a simulated process.
 ///
@@ -58,12 +45,9 @@ pub(crate) const WIRE_HANDLE: u64 = 1 << 63;
 /// protocols embed their payloads in it. Callbacks receive a [`Ctx`] through
 /// which every externally visible effect (sends, timers, observations) must
 /// flow — this is what makes runs reproducible and measurable.
-pub trait Process: Send + 'static {
+pub trait Process: 'static {
     /// The message type exchanged between processes in this simulation.
-    /// `Send + Sync` lets the parallel engine carry in-flight payloads
-    /// across worker shards; deterministic protocol state needs neither
-    /// interior mutability nor shared ownership, so the bounds are free.
-    type Msg: Clone + std::fmt::Debug + Send + Sync + 'static;
+    type Msg: Clone + std::fmt::Debug + 'static;
 
     /// Invoked once when the process is spawned.
     fn on_start(&mut self, _ctx: &mut Ctx<'_, Self::Msg>) {}
@@ -82,11 +66,10 @@ pub trait Process: Send + 'static {
 }
 
 /// A delivery payload: either an owned message or a multicast envelope
-/// shared between all destinations of one `multicast` call. `Arc` (not
-/// `Rc`) so a payload can ride a cross-shard mailbox.
-pub(crate) enum Payload<M> {
+/// shared between all destinations of one `multicast` call.
+enum Payload<M> {
     One(M),
-    Shared(Arc<M>),
+    Shared(Rc<M>),
 }
 
 impl<M: Clone> Payload<M> {
@@ -96,12 +79,12 @@ impl<M: Clone> Payload<M> {
     fn into_msg(self) -> M {
         match self {
             Payload::One(m) => m,
-            Payload::Shared(rc) => Arc::try_unwrap(rc).unwrap_or_else(|rc| (*rc).clone()),
+            Payload::Shared(rc) => Rc::try_unwrap(rc).unwrap_or_else(|rc| (*rc).clone()),
         }
     }
 }
 
-pub(crate) enum Event {
+enum Event {
     /// `inc` pins the start to one incarnation: a restart→crash→restart
     /// chain must not double-start the latest life.
     Start { pid: Pid, inc: u32 },
@@ -130,24 +113,23 @@ pub(crate) enum Event {
 /// The total event-ordering key: `(at, class, seq, src)`.
 ///
 /// - `class` 0 = control events (crash/restart/partition), 1 = everything
-///   else; controls sort before same-time traffic in every execution mode.
+///   else; controls sort before same-time traffic.
 /// - `seq` is a *per-source* counter (each process slot owns one; harness
-///   originated events draw from `Sim::ext_seq`), so it is identical at any
-///   shard count.
+///   originated events draw from `Sim::ext_seq`).
 /// - `src` (the originating pid, `u32::MAX` for the harness) breaks the
 ///   remaining ties between different sources.
-pub(crate) type EventKey = (SimTime, u8, u64, u32);
+type EventKey = (SimTime, u8, u64, u32);
 
-pub(crate) struct Entry {
-    pub(crate) at: SimTime,
-    pub(crate) class: u8,
-    pub(crate) seq: u64,
-    pub(crate) src: u32,
-    pub(crate) ev: Event,
+struct Entry {
+    at: SimTime,
+    class: u8,
+    seq: u64,
+    src: u32,
+    ev: Event,
 }
 
 impl Entry {
-    pub(crate) fn key(&self) -> EventKey {
+    fn key(&self) -> EventKey {
         (self.at, self.class, self.seq, self.src)
     }
 }
@@ -169,31 +151,29 @@ impl Ord for Entry {
     }
 }
 
-pub(crate) struct Slot<P> {
-    pub(crate) proc: P,
-    pub(crate) node: NodeId,
-    pub(crate) alive: bool,
+struct Slot<P> {
+    proc: P,
+    node: NodeId,
+    alive: bool,
     /// How many times this pid has been restarted (0 = first life). Bumped
     /// by [`Sim::restart`]; deliveries and timers are tagged with it so the
     /// engine can drop traffic addressed to a previous life.
-    pub(crate) incarnation: u32,
+    incarnation: u32,
     /// This process's private deterministic RNG stream, seeded from
     /// `(SimConfig::seed, pid)`. Latency/loss draws for *its* sends and
     /// `Ctx::rng` draws in *its* callbacks come from here, in its own
-    /// execution order — which is shard-count-invariant.
-    pub(crate) rng: DetRng,
+    /// execution order.
+    rng: DetRng,
     /// Per-source event sequence counter (the `seq` of queue entries this
     /// process originates). Persists across restarts.
-    pub(crate) next_seq: u64,
+    next_seq: u64,
     /// Per-process timer counter; allocated ids are prefixed with the pid
-    /// (see `Ctx::timer_base`), so they are unique and shard-invariant.
-    pub(crate) next_timer: u64,
-    /// Per-process wire-handle counter (used when `jobs > 1` and tracing).
-    pub(crate) next_wire: u32,
+    /// (see `Ctx::timer_base`), so they are unique across processes.
+    next_timer: u64,
     /// Timers this process has armed and not yet fired or cancelled.
     /// Id-sorted (ids are allocated monotonically per process): arming is a
     /// tail push, lookups binary-search a few entries.
-    pub(crate) armed: Vec<(TimerId, SimTime)>,
+    armed: Vec<(TimerId, SimTime)>,
 }
 
 /// The per-process RNG seed: one SplitMix64 "split" of the run seed per
@@ -201,15 +181,6 @@ pub(crate) struct Slot<P> {
 fn slot_seed(seed: u64, pid: Pid) -> u64 {
     const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
     SplitMix64::new(seed.wrapping_add(GOLDEN.wrapping_mul(u64::from(pid.0) + 1))).next_u64()
-}
-
-/// `NOW_SIM_JOBS`: worker-shard count for parallel execution inside one
-/// run. Unset, 0, 1, or unparsable → 1 (sequential). Clamped to 64.
-fn jobs_from_env() -> usize {
-    std::env::var("NOW_SIM_JOBS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .map_or(1, |j| j.clamp(1, 64))
 }
 
 /// Simulation-wide configuration.
@@ -220,9 +191,6 @@ pub struct SimConfig {
     pub seed: u64,
     /// Network latency/loss model.
     pub net: NetConfig,
-    /// Worker-shard count override; `None` defers to `NOW_SIM_JOBS`. Any
-    /// value produces byte-identical runs (see [`Sim::set_jobs`]).
-    pub jobs: Option<usize>,
 }
 
 
@@ -232,7 +200,6 @@ impl SimConfig {
         SimConfig {
             seed,
             net: NetConfig::ideal(),
-            jobs: None,
         }
     }
 
@@ -241,14 +208,13 @@ impl SimConfig {
         SimConfig {
             seed,
             net: NetConfig::default(),
-            jobs: None,
         }
     }
 
-    /// Pins the worker-shard count, overriding `NOW_SIM_JOBS`. Useful for
-    /// harnesses that compare parallel and sequential runs in one process.
-    pub fn with_jobs(mut self, jobs: usize) -> SimConfig {
-        self.jobs = Some(jobs.clamp(1, 64));
+    // Accepts and ignores its argument: kept only because the frozen
+    // `perf/` crate calls it, until a `benchmark` issue drops those calls.
+    #[doc(hidden)]
+    pub fn with_jobs(self, _jobs: usize) -> SimConfig {
         self
     }
 }
@@ -258,68 +224,43 @@ impl SimConfig {
 /// callbacks are interpreted against its latency/loss model and pending
 /// event queue.
 pub struct Sim<P: Process> {
-    pub(crate) cfg: SimConfig,
+    cfg: SimConfig,
     /// Sequence counter for harness-originated events (spawn starts,
     /// injects, scheduled controls). Process-originated events use the
     /// originating slot's counter instead.
-    pub(crate) ext_seq: u64,
-    /// Wire-handle counter for harness injects (`jobs > 1` + tracing).
-    pub(crate) ext_wire: u32,
-    pub(crate) queue: BinaryHeap<Reverse<Entry>>,
+    ext_seq: u64,
+    queue: BinaryHeap<Reverse<Entry>>,
     /// Pending delivery payloads, indexed by `Event::Deliver::payload`. A
     /// free-list slab: slots are recycled, so steady-state traffic allocates
     /// nothing and the queue entries stay a few words wide no matter how big
     /// `P::Msg` is.
-    pub(crate) payloads: Vec<Option<Payload<P::Msg>>>,
-    pub(crate) free_payloads: Vec<u32>,
-    pub(crate) procs: Vec<Option<Slot<P>>>,
-    pub(crate) node_sites: Vec<SiteId>,
-    pub(crate) partition: Partition,
+    payloads: Vec<Option<Payload<P::Msg>>>,
+    free_payloads: Vec<u32>,
+    procs: Vec<Option<Slot<P>>>,
+    node_sites: Vec<SiteId>,
+    partition: Partition,
     /// The process-hosting runtime shared with real backends: clock
     /// snapshot, RNG, stats, observations, reusable action buffer, optional
     /// tracer. The sim is its single clock writer.
-    pub(crate) ep: Endpoint<P::Msg>,
+    ep: Endpoint<P::Msg>,
     /// Per ordered (src, dst) pair: latest scheduled arrival, used to keep
     /// channels FIFO when `NetConfig::fifo` is set. A flat dense table
     /// indexed `[src][dst]` (grown on demand; `SimTime::ZERO` = no pending
     /// constraint) — pid-pair keyed tree walks were a route() hot spot.
-    pub(crate) channel_clock: Vec<Vec<SimTime>>,
+    channel_clock: Vec<Vec<SimTime>>,
     /// Factory for the fresh process state of a restarted pid, registered
     /// via [`Sim::set_respawn`]; required by [`Sim::restart`] and
     /// [`Sim::schedule_restart`] (but not [`Sim::restart_with`]).
-    /// `Arc<dyn Fn>` (not `Box<dyn FnMut>`) so worker shards can restart
-    /// processes during a parallel run.
-    pub(crate) respawn: Option<Arc<dyn Fn(Pid) -> P + Send + Sync>>,
-    /// Worker-shard count for parallel execution inside one run. 1 (the
-    /// default) = the classic sequential engine. Values > 1 opt into
-    /// per-shard stats tables and wire handles so that sequential stretches
-    /// and parallel windows produce identical bytes.
-    pub(crate) jobs: usize,
-    /// Per-shard stats tables, present when `jobs > 1`. A process *always*
-    /// bumps counters through its own shard's table (its interned
-    /// `CounterId`s are only valid there); the tables are drained into the
-    /// main `ep.stats` at synchronisation points, keyed by name.
-    pub(crate) shard_stats: Vec<Stats>,
-    /// Wire handle → global trace seq of the matching `NetSend`, used when
-    /// `jobs > 1` and tracing. Registered when the send is recorded in the
-    /// *merged* trace, consumed by the delivery/drop that terminates it.
-    pub(crate) wire_map: BTreeMap<u64, u64>,
-    /// Present only inside a worker shard of a parallel window (see
-    /// [`crate::par`]): replicas of remote state plus the shard mailboxes.
-    pub(crate) shard: Option<ShardCtx<P::Msg>>,
+    respawn: Option<Box<dyn Fn(Pid) -> P>>,
 }
 
 impl<P: Process> Sim<P> {
-    /// Creates an empty world. The worker-shard count comes from
-    /// `cfg.jobs` if set, else `NOW_SIM_JOBS` (default 1); see
-    /// [`Sim::set_jobs`].
+    /// Creates an empty world.
     pub fn new(cfg: SimConfig) -> Sim<P> {
         let ep = Endpoint::new(cfg.seed);
-        let jobs = cfg.jobs.unwrap_or_else(jobs_from_env);
         Sim {
             cfg,
             ext_seq: 0,
-            ext_wire: 0,
             queue: BinaryHeap::new(),
             procs: Vec::new(),
             node_sites: Vec::new(),
@@ -329,44 +270,7 @@ impl<P: Process> Sim<P> {
             free_payloads: Vec::new(),
             channel_clock: Vec::new(),
             respawn: None,
-            jobs,
-            shard_stats: std::iter::repeat_with(Stats::default).take(jobs).collect(),
-            wire_map: BTreeMap::new(),
-            shard: None,
         }
-    }
-
-    /// Sets the worker-shard count for parallel execution inside one run
-    /// (overriding `NOW_SIM_JOBS`). Must be called before the first spawn:
-    /// processes cache interned counter ids in the stats table their shard
-    /// owns, so the shard layout cannot change once processes exist.
-    ///
-    /// Any value produces byte-identical stats, traces, and observations;
-    /// `jobs > 1` additionally enables parallel window execution when the
-    /// workload is worth it (see `par_eligible`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if processes have already been spawned, or `jobs` is 0.
-    pub fn set_jobs(&mut self, jobs: usize) {
-        assert!(jobs > 0, "jobs must be at least 1");
-        assert!(
-            self.procs.is_empty(),
-            "set_jobs must be called before the first spawn"
-        );
-        self.jobs = jobs;
-        self.shard_stats = std::iter::repeat_with(Stats::default).take(jobs).collect();
-    }
-
-    /// The configured worker-shard count.
-    pub fn jobs(&self) -> usize {
-        self.jobs
-    }
-
-    /// The shard that owns `node`: whole nodes are partitioned round-robin,
-    /// so same-node (and loopback) traffic never crosses a shard boundary.
-    pub(crate) fn shard_of_node(&self, node: NodeId) -> usize {
-        node.0 as usize % self.jobs
     }
 
     /// Attaches a tracer (e.g. `Tracer::new().with_monitors(..)`), replacing
@@ -426,7 +330,6 @@ impl<P: Process> Sim<P> {
             rng: DetRng::seed_from_u64(slot_seed(self.cfg.seed, pid)),
             next_seq: 0,
             next_timer: 0,
-            next_wire: 0,
             armed: Vec::new(),
         }));
         self.ep.stats.ensure_proc(pid);
@@ -438,7 +341,7 @@ impl<P: Process> Sim<P> {
         pid
     }
 
-    pub(crate) fn push(&mut self, at: SimTime, class: u8, seq: u64, src: u32, ev: Event) {
+    fn push(&mut self, at: SimTime, class: u8, seq: u64, src: u32, ev: Event) {
         self.queue.push(Reverse(Entry { at, class, seq, src, ev }));
     }
 
@@ -459,7 +362,7 @@ impl<P: Process> Sim<P> {
 
     /// Parks a delivery payload in the slab, reusing a free slot when one
     /// exists, and returns its index.
-    pub(crate) fn store_payload(&mut self, payload: Payload<P::Msg>) -> u32 {
+    fn store_payload(&mut self, payload: Payload<P::Msg>) -> u32 {
         match self.free_payloads.pop() {
             Some(i) => {
                 self.payloads[i as usize] = Some(payload);
@@ -474,7 +377,7 @@ impl<P: Process> Sim<P> {
     }
 
     /// Removes and returns the payload at `slot`, recycling the slot.
-    pub(crate) fn take_payload(&mut self, slot: u32) -> Payload<P::Msg> {
+    fn take_payload(&mut self, slot: u32) -> Payload<P::Msg> {
         let p = self.payloads[slot as usize]
             .take()
             .expect("payload slot taken twice");
@@ -585,41 +488,25 @@ impl<P: Process> Sim<P> {
         self.ep.rng_mut()
     }
 
-    /// Marks `pid` dead and forgets its FIFO channel *row* (it never sends
-    /// again). `purge_column` additionally clears every channel *into* it —
-    /// crashes do this (the column rows may live on other shards, and crash
-    /// application is a synchronisation point); halts don't (a halt happens
-    /// mid-window on the owner's shard, and stale inbound clocks are
-    /// harmless: anything addressed to a dead process is dropped at
-    /// delivery time).
-    pub(crate) fn kill(&mut self, pid: Pid, purge_column: bool) -> bool {
-        let mut was_alive = false;
-        if let Some(s) = self.procs[pid.0 as usize].as_mut() {
-            was_alive = s.alive;
-            s.alive = false;
-        }
-        if was_alive {
-            let i = pid.0 as usize;
-            if let Some(row) = self.channel_clock.get_mut(i) {
-                *row = Vec::new();
-            }
-            if purge_column {
-                self.purge_channel_column(pid);
-            }
-        }
-        was_alive
-    }
-
-    /// Clears every FIFO clock entry *into* `pid`, so long churn runs don't
-    /// accumulate dead channels. Safe because anything addressed to a dead
-    /// process is dropped at delivery time.
-    pub(crate) fn purge_channel_column(&mut self, pid: Pid) {
+    /// Marks `pid` dead and drops every FIFO clock entry touching it, so
+    /// long churn runs don't accumulate dead channels. Safe because a dead
+    /// process never sends again and anything addressed to it is dropped at
+    /// delivery time. Returns whether it was alive.
+    fn kill(&mut self, pid: Pid) -> bool {
         let i = pid.0 as usize;
+        let Some(slot) = self.procs[i].as_mut().filter(|s| s.alive) else {
+            return false;
+        };
+        slot.alive = false;
+        if let Some(row) = self.channel_clock.get_mut(i) {
+            *row = Vec::new();
+        }
         for row in &mut self.channel_clock {
             if let Some(c) = row.get_mut(i) {
                 *c = SimTime::ZERO;
             }
         }
+        true
     }
 
     /// Number of live FIFO channel-clock entries (test/diagnostic hook).
@@ -647,7 +534,7 @@ impl<P: Process> Sim<P> {
     /// Crashing an already-dead pid is an explicit no-op (chaos schedules
     /// can double-fire a crash): no trace event, no state change.
     pub fn crash(&mut self, pid: Pid) {
-        if self.kill(pid, true) && self.ep.tracing() {
+        if self.kill(pid) && self.ep.tracing() {
             self.trace(pid, None, TraceKind::Crash);
         }
     }
@@ -655,9 +542,8 @@ impl<P: Process> Sim<P> {
     /// Registers the factory that builds the fresh process state of a
     /// restarted pid. Required before [`Sim::restart`] or
     /// [`Sim::schedule_restart`]; [`Sim::restart_with`] works without it.
-    /// `Send + Sync` so worker shards can restart during a parallel run.
-    pub fn set_respawn(&mut self, f: impl Fn(Pid) -> P + Send + Sync + 'static) {
-        self.respawn = Some(Arc::new(f));
+    pub fn set_respawn(&mut self, f: impl Fn(Pid) -> P + 'static) {
+        self.respawn = Some(Box::new(f));
     }
 
     /// Restarts a crashed `pid` under a fresh incarnation number, with
@@ -677,11 +563,10 @@ impl<P: Process> Sim<P> {
         if self.is_alive(pid) {
             return None;
         }
-        let f = Arc::clone(
-            self.respawn
-                .as_ref()
-                .expect("Sim::restart requires a respawn factory (Sim::set_respawn)"),
-        );
+        let f = self
+            .respawn
+            .as_ref()
+            .expect("Sim::restart requires a respawn factory (Sim::set_respawn)");
         let fresh = f(pid);
         self.restart_with(pid, fresh)
     }
@@ -715,22 +600,9 @@ impl<P: Process> Sim<P> {
 
     /// Crashes every process hosted on `node` (a workstation power failure).
     pub fn crash_node(&mut self, node: NodeId) {
-        let mut died = Vec::new();
-        for (i, s) in self.procs.iter_mut().enumerate() {
-            if let Some(s) = s {
-                if s.node == node && s.alive {
-                    s.alive = false;
-                    died.push(Pid(i as u32));
-                }
-            }
-        }
-        for pid in died {
-            self.channel_clock
-                .get_mut(pid.0 as usize)
-                .map(std::mem::take);
-            self.purge_channel_column(pid);
-            if self.ep.tracing() {
-                self.trace(pid, None, TraceKind::Crash);
+        for i in 0..self.procs.len() {
+            if self.procs[i].as_ref().is_some_and(|s| s.node == node) {
+                self.crash(Pid(i as u32));
             }
         }
     }
@@ -802,27 +674,18 @@ impl<P: Process> Sim<P> {
             // back) while the endpoint borrows its disjoint fields. The Ctx
             // is built here rather than via `Endpoint::run` because the
             // engine wires in *per-slot* determinism state: the process's
-            // own RNG stream, its own timer counter under a pid-derived id
-            // prefix, and — when sharded — its shard's stats table.
-            let Sim { procs, ep, shard_stats, jobs, shard, .. } = self;
+            // own RNG stream and its own timer counter under a pid-derived
+            // id prefix.
+            let Sim { procs, ep, .. } = self;
             let slot = procs[pid.0 as usize].as_mut().expect("unknown pid");
             let mut actions = std::mem::take(&mut ep.scratch);
-            // Stats routing: with one shard, the main table. With several,
-            // a process always bumps through its *shard's* table (interned
-            // counter ids are only valid there); inside a worker, `ep.stats`
-            // *is* that shard table already.
-            let stats: &mut Stats = if *jobs > 1 && shard.is_none() {
-                &mut shard_stats[slot.node.0 as usize % *jobs]
-            } else {
-                &mut ep.stats
-            };
             let r = {
                 let mut ctx = Ctx {
                     now: ep.now,
                     me: pid,
                     incarnation: slot.incarnation,
                     rng: &mut slot.rng,
-                    stats,
+                    stats: &mut ep.stats,
                     obs: &mut ep.obs,
                     next_timer: &mut slot.next_timer,
                     timer_base: (u64::from(pid.0) + 1) << 32,
@@ -836,59 +699,12 @@ impl<P: Process> Sim<P> {
         };
         dispatch(self, pid, &mut actions, cause);
         self.ep.give_back(actions);
-        // Sequential stretches of a sharded run flush eagerly: harnesses
-        // read counters between invocations (e.g. progress loops), so the
-        // main table must stay current. O(registered names) — per-proc and
-        // message counters never land in shard tables outside a worker.
-        if self.jobs > 1 && self.shard.is_none() {
-            let Sim { ep, shard_stats, .. } = self;
-            for t in shard_stats.iter_mut() {
-                t.drain_into(&mut ep.stats);
-            }
-        }
         Some(r)
     }
 
     fn route(&mut self, from: Pid, to: Pid, msg: P::Msg, cause: Option<u64>) {
         let bytes = P::wire_size(&msg);
         self.route_payload(from, to, Payload::One(msg), bytes, cause);
-    }
-
-    /// The hosting node of `pid`, whether it is a local slot or (inside a
-    /// worker) a remote replica. `None` for the external pseudo-pid and
-    /// unknown pids.
-    fn node_for(&self, pid: Pid) -> Option<NodeId> {
-        match self.procs.get(pid.0 as usize) {
-            Some(Some(s)) => Some(s.node),
-            Some(None) => self
-                .shard
-                .as_ref()
-                .and_then(|sc| sc.pid_nodes.get(pid.0 as usize).copied()),
-            None => None,
-        }
-    }
-
-    /// The current incarnation of `pid`, local slot or remote replica.
-    fn inc_for(&self, pid: Pid) -> u32 {
-        match self.procs.get(pid.0 as usize) {
-            Some(Some(s)) => s.incarnation,
-            Some(None) => self
-                .shard
-                .as_ref()
-                .map_or(0, |sc| sc.remote_incs[pid.0 as usize]),
-            None => 0,
-        }
-    }
-
-    /// Resolves a wire id for terminal trace emission on the *main* sim: a
-    /// handle (bit 63 set) maps — exactly once — to the global seq of its
-    /// `NetSend`; a raw id passes through. Workers keep handles verbatim;
-    /// the window merge resolves them (see [`crate::par`]).
-    pub(crate) fn resolve_wire(&mut self, wire: u64) -> u64 {
-        if wire & WIRE_HANDLE == 0 {
-            return wire;
-        }
-        self.wire_map.remove(&wire).unwrap_or(0)
     }
 
     fn route_payload(
@@ -900,29 +716,25 @@ impl<P: Process> Sim<P> {
         cause: Option<u64>,
     ) {
         self.ep.stats.record_send(from, to, bytes);
-        // With one shard the NetSend's seq *is* the wire id carried by the
-        // delivery/drop; with several the seq is only window-local, so the
-        // wire id becomes a per-sender handle (see `WIRE_HANDLE`).
-        let send_seq = match self.ep.tracing() {
+        // The NetSend's seq *is* the wire id carried by the delivery/drop.
+        let wire = match self.ep.tracing() {
             true => self.trace(from, cause, TraceKind::NetSend { to: to.0, bytes: bytes as u64 }),
             false => 0,
         };
         if (to.0 as usize) >= self.procs.len() {
             // Message to a pid that does not exist (e.g. stale address).
-            // The drop references the send directly — same trace record,
-            // no handle needed even when sharded.
             self.ep.stats.record_drop(to);
-            if send_seq > 0 {
-                self.trace(from, Some(send_seq), TraceKind::NetDrop { to: to.0, send: send_seq });
+            if wire > 0 {
+                self.trace(from, Some(wire), TraceKind::NetDrop { to: to.0, send: wire });
             }
             return;
         }
         let src_node = self.slot(from).node;
-        let dst_node = self.node_for(to).expect("destination has no node");
+        let dst_node = self.slot(to).node;
         // Borrow the link model in place (no per-message clone); the drop
         // decision and latency draw complete before any &mut self call.
-        // Draws come from the *sender's* slot RNG: they happen in the
-        // sender's execution order, which is shard-count-invariant.
+        // Draws come from the *sender's* slot RNG, in the sender's own
+        // execution order.
         let latency = if from == to || src_node == dst_node {
             Some(self.cfg.net.loopback)
         } else {
@@ -943,8 +755,8 @@ impl<P: Process> Sim<P> {
         };
         let Some(latency) = latency else {
             self.ep.stats.record_drop(to);
-            if send_seq > 0 {
-                self.trace(from, Some(send_seq), TraceKind::NetDrop { to: to.0, send: send_seq });
+            if wire > 0 {
+                self.trace(from, Some(wire), TraceKind::NetDrop { to: to.0, send: wire });
             }
             return;
         };
@@ -964,53 +776,10 @@ impl<P: Process> Sim<P> {
             }
             *clock = arrival;
         }
-        // The wire id is allocated only now that the delivery is definitely
-        // going onto the queue (allocating earlier would leak map entries on
-        // the drop paths above).
-        let wire = if send_seq == 0 {
-            0
-        } else if self.jobs == 1 {
-            send_seq
-        } else {
-            let slot = self.procs[from.0 as usize].as_mut().expect("unknown pid");
-            let h = WIRE_HANDLE | ((u64::from(from.0) + 1) << 32) | u64::from(slot.next_wire);
-            slot.next_wire += 1;
-            match &mut self.shard {
-                // Worker: the local NetSend seq is registered for the merge.
-                Some(sc) => sc.wire_regs.push((h, send_seq)),
-                // Sequential stretch: the seq is already global.
-                None => {
-                    self.wire_map.insert(h, send_seq);
-                }
-            }
-            h
-        };
-        let inc = self.inc_for(to);
+        let inc = self.slot(to).incarnation;
         let seq = self.slot_seq(from);
-        match &self.shard {
-            Some(sc) if self.shard_of_node(dst_node) != sc.id => {
-                // Cross-shard: the delivery is mailed to the owning worker
-                // and enqueued there under the *same* key it would have had
-                // locally.
-                let dst = self.shard_of_node(dst_node);
-                self.post_mail(
-                    dst,
-                    crate::par::Mail {
-                        at: arrival,
-                        seq,
-                        src: from.0,
-                        to,
-                        payload,
-                        wire,
-                        inc,
-                    },
-                );
-            }
-            _ => {
-                let payload = self.store_payload(payload);
-                self.push(arrival, 1, seq, from.0, Event::Deliver { to, from, payload, wire, inc });
-            }
-        }
+        let payload = self.store_payload(payload);
+        self.push(arrival, 1, seq, from.0, Event::Deliver { to, from, payload, wire, inc });
     }
 
     /// Executes one popped entry (the clock is already advanced). Returns
@@ -1026,15 +795,10 @@ impl<P: Process> Sim<P> {
             }
             Event::Deliver { to, from, payload, wire, inc } => {
                 let payload = self.take_payload(payload);
-                // Terminal trace emission resolves a wire handle to its
-                // global NetSend seq on the main sim; a worker keeps the
-                // handle verbatim for the window merge to resolve.
-                let in_shard = self.shard.is_some();
                 if !self.is_alive(to) {
                     self.ep.stats.record_drop(to);
                     if wire > 0 {
-                        let send = if in_shard { wire } else { self.resolve_wire(wire) };
-                        self.trace(from, Some(send), TraceKind::NetDrop { to: to.0, send });
+                        self.trace(from, Some(wire), TraceKind::NetDrop { to: to.0, send: wire });
                     }
                     return false;
                 }
@@ -1044,14 +808,13 @@ impl<P: Process> Sim<P> {
                     // a restart from resurrecting zombie state.
                     self.ep.stats.record_stale_drop(to);
                     if wire > 0 {
-                        let send = if in_shard { wire } else { self.resolve_wire(wire) };
                         self.trace(
                             from,
-                            Some(send),
+                            Some(wire),
                             TraceKind::StaleDrop {
                                 to: to.0,
                                 incarnation: u64::from(inc),
-                                send,
+                                send: wire,
                             },
                         );
                     }
@@ -1059,29 +822,26 @@ impl<P: Process> Sim<P> {
                 }
                 // Partition is evaluated at delivery time: messages in
                 // flight when the partition forms are lost, like frames
-                // on a cut cable.
-                if let Some(sn) = self.node_for(from) {
+                // on a cut cable. (The harness pseudo-client has no node
+                // and is never partitioned away.)
+                let src = self.procs.get(from.0 as usize).and_then(Option::as_ref);
+                if let Some(sn) = src.map(|s| s.node) {
                     let dn = self.slot(to).node;
                     if !self.partition.connected_pair(sn, dn) {
                         self.ep.stats.record_drop(to);
                         if wire > 0 {
-                            let send = if in_shard { wire } else { self.resolve_wire(wire) };
-                            self.trace(from, Some(send), TraceKind::NetDrop { to: to.0, send });
+                            self.trace(from, Some(wire), TraceKind::NetDrop { to: to.0, send: wire });
                         }
                         return false;
                     }
                 }
                 self.ep.stats.record_delivery(to);
                 let cause = match self.ep.tracing() {
-                    true => {
-                        let send = if in_shard { wire } else { self.resolve_wire(wire) };
-                        let link = (send > 0).then_some(send);
-                        Some(self.trace(
-                            to,
-                            link,
-                            TraceKind::NetDeliver { from: from.0, send },
-                        ))
-                    }
+                    true => Some(self.trace(
+                        to,
+                        (wire > 0).then_some(wire),
+                        TraceKind::NetDeliver { from: from.0, send: wire },
+                    )),
                     false => None,
                 };
                 self.invoke_caused(to, cause, |p, ctx| p.on_message(from, payload.into_msg(), ctx));
@@ -1137,127 +897,14 @@ impl<P: Process> Sim<P> {
         }
     }
 
-    /// Executes the next pending event if it lies strictly before horizon
-    /// `h`, returning its ordering key. Returns `None` (leaving the queue
-    /// untouched) otherwise — the worker-side primitive of a conservative
-    /// parallel window; the key labels the trace/observation chunk the
-    /// event produced for the global merge.
-    pub(crate) fn step_bounded(&mut self, h: SimTime) -> Option<EventKey> {
-        match self.queue.peek() {
-            Some(Reverse(e)) if e.at < h => {}
-            _ => return None,
-        }
-        let Some(Reverse(entry)) = self.queue.pop() else {
-            unreachable!("peek said non-empty");
-        };
-        debug_assert!(entry.at >= self.ep.now, "event queue went backwards");
-        self.ep.now = entry.at;
-        let key = entry.key();
-        self.execute(entry);
-        Some(key)
-    }
-
-    /// Posts a cross-shard delivery to the worker owning shard `dst`.
-    /// Channels are bounded; on a full inbox we drain our *own* mailbox
-    /// (every mailed arrival is at or beyond the current horizon, so early
-    /// ingestion is safe) and yield, which makes the send loop free of
-    /// send/send deadlocks between mutually flooding shards.
-    fn post_mail(&mut self, dst: usize, mail: crate::par::Mail<P::Msg>) {
-        let mut mail = mail;
-        loop {
-            let sc = self.shard.as_mut().expect("post_mail outside a worker");
-            match sc.mail_out[dst].try_send(mail) {
-                Ok(()) => {
-                    sc.sent_cum[dst] += 1;
-                    return;
-                }
-                Err(std::sync::mpsc::TrySendError::Full(m)) => {
-                    mail = m;
-                    self.ingest_pending_mail();
-                    std::thread::yield_now();
-                }
-                // Receiver gone: the run is unwinding; drop the mail.
-                Err(std::sync::mpsc::TrySendError::Disconnected(_)) => return,
-            }
-        }
-    }
-
-    /// Ingests every mail item currently waiting in the inbox, without
-    /// blocking.
-    fn ingest_pending_mail(&mut self) {
-        loop {
-            let m = match self.shard.as_mut() {
-                Some(sc) => match sc.mail_in.try_recv() {
-                    Ok(m) => m,
-                    Err(_) => return,
-                },
-                None => return,
-            };
-            self.ingest_mail(m);
-        }
-    }
-
-    /// Blocks until `expect` mail items (cumulative over the whole run)
-    /// have been ingested. The coordinator tells each worker exactly how
-    /// much mail is bound for it before a window executes, so no arrival
-    /// can be missed.
-    pub(crate) fn drain_mail_to(&mut self, expect: u64) {
-        while self.shard.as_ref().is_some_and(|sc| sc.recv_cum < expect) {
-            let m = match self.shard.as_mut() {
-                Some(sc) => match sc.mail_in.recv() {
-                    Ok(m) => m,
-                    // Sender gone: the run is unwinding.
-                    Err(_) => return,
-                },
-                None => return,
-            };
-            self.ingest_mail(m);
-        }
-        // Opportunistically ingest anything else already queued.
-        self.ingest_pending_mail();
-    }
-
-    /// Enqueues one mailed delivery under the key it would have had locally.
-    fn ingest_mail(&mut self, m: crate::par::Mail<P::Msg>) {
-        if let Some(sc) = self.shard.as_mut() {
-            sc.recv_cum += 1;
-        }
-        let payload = self.store_payload(m.payload);
-        self.push(
-            m.at,
-            1,
-            m.seq,
-            m.src,
-            Event::Deliver { to: m.to, from: Pid(m.src), payload, wire: m.wire, inc: m.inc },
-        );
-    }
-
-    /// Whether the next run call should fan out across worker shards.
-    /// A pure performance heuristic — it cannot change any produced byte —
-    /// so it is free to demand a workload that actually amortises the
-    /// per-window barrier: enough lookahead for windows to carry real work,
-    /// enough processes to fill every shard, and a queue that is not about
-    /// to drain.
-    fn par_eligible(&self) -> bool {
-        self.jobs > 1
-            && self.shard.is_none()
-            && self.cfg.net.lookahead() >= SimDuration::from_micros(100)
-            && self.procs.len() >= 2 * self.jobs
-            && self.queue.len() >= 64
-    }
-
     /// Runs until the clock reaches `t` (events at exactly `t` included) or
     /// the queue drains.
     pub fn run_until(&mut self, t: SimTime) {
-        if self.par_eligible() {
-            crate::par::run_parallel(self, t, false);
-        } else {
-            while let Some(Reverse(e)) = self.queue.peek() {
-                if e.at > t {
-                    break;
-                }
-                self.step();
+        while let Some(Reverse(e)) = self.queue.peek() {
+            if e.at > t {
+                break;
             }
+            self.step();
         }
         if self.ep.now < t {
             self.ep.now = t;
@@ -1276,9 +923,6 @@ impl<P: Process> Sim<P> {
     /// Note: protocols with periodic timers (heartbeats) never quiesce; use
     /// [`Sim::run_until`] for those.
     pub fn run_to_quiescence(&mut self, limit: SimTime) -> bool {
-        if self.par_eligible() {
-            return crate::par::run_parallel(self, limit, true);
-        }
         while let Some(Reverse(e)) = self.queue.peek() {
             if e.at > limit {
                 return false;
@@ -1293,24 +937,13 @@ impl<P: Process> Sim<P> {
     pub fn inject(&mut self, to: Pid, msg: P::Msg) {
         let bytes = P::wire_size(&msg);
         self.ep.stats.record_send(Pid::EXTERNAL, to, bytes);
-        let send_seq = match self.ep.tracing() {
+        let wire = match self.ep.tracing() {
             true => self.trace(
                 Pid::EXTERNAL,
                 None,
                 TraceKind::NetSend { to: to.0, bytes: bytes as u64 },
             ),
             false => 0,
-        };
-        let wire = if send_seq == 0 {
-            0
-        } else if self.jobs == 1 {
-            send_seq
-        } else {
-            // Injects happen on the main sim only, so the seq is global.
-            let h = WIRE_HANDLE | u64::from(self.ext_wire);
-            self.ext_wire += 1;
-            self.wire_map.insert(h, send_seq);
-            h
         };
         let payload = self.store_payload(Payload::One(msg));
         let inc = self
@@ -1354,12 +987,12 @@ impl<P: Process> Transport<P::Msg> for Sim<P> {
                 // Size once, share the payload; each destination still
                 // counts as one message, exactly as before.
                 let bytes = P::wire_size(&msg);
-                let shared = Arc::new(msg);
+                let shared = Rc::new(msg);
                 for to in dsts {
                     self.route_payload(
                         from,
                         to,
-                        Payload::Shared(Arc::clone(&shared)),
+                        Payload::Shared(Rc::clone(&shared)),
                         bytes,
                         cause,
                     );
@@ -1390,7 +1023,7 @@ impl<P: Process> Transport<P::Msg> for Sim<P> {
                 }
             }
             Action::Halt => {
-                if self.kill(from, false) && self.ep.tracing() {
+                if self.kill(from) && self.ep.tracing() {
                     self.trace(from, cause, TraceKind::Halt);
                 }
             }
@@ -1528,12 +1161,15 @@ mod tests {
             ctx.send(c, "x".into());
         });
         sim.invoke(b, |_, ctx| ctx.send(a, "x".into()));
-        assert!(sim.live_channel_entries() >= 3);
+        sim.invoke(c, |_, ctx| ctx.send(a, "x".into()));
+        assert_eq!(sim.live_channel_entries(), 4);
         sim.crash(b);
-        // Every entry with b as source or destination is gone; a→c remains.
-        assert_eq!(sim.live_channel_entries(), 1);
-        // Halting a sender also clears its row.
-        sim.invoke(a, |_, ctx| ctx.halt());
+        // Every entry with b as source or destination is gone; a→c and c→a
+        // remain.
+        assert_eq!(sim.live_channel_entries(), 2);
+        // A halt prunes like a crash: c's outbound row (c→a) and, as the
+        // receiver of a→c, its inbound column.
+        sim.invoke(c, |_, ctx| ctx.halt());
         assert_eq!(sim.live_channel_entries(), 0);
     }
 

@@ -42,7 +42,6 @@ pub mod engine;
 pub mod failure;
 pub mod ids;
 pub mod net;
-pub mod par;
 pub mod stats;
 pub mod time;
 pub mod transport;

@@ -112,23 +112,6 @@ impl NetConfig {
             fifo: true,
         }
     }
-
-    /// The conservative-parallel lookahead of this network: a lower bound on
-    /// the latency of any message between two *different* nodes. A worker
-    /// shard that has executed everything up to time `T` cannot receive new
-    /// work scheduled before `T + lookahead`, which is what makes windowed
-    /// parallel execution safe. Loopback latency is deliberately excluded:
-    /// self-sends and same-node sends never cross a shard boundary (shards
-    /// partition whole nodes), so they cannot constrain the horizon.
-    ///
-    /// `sample_latency` always returns at least `base_latency` (jitter and
-    /// the per-byte component only add), so the minimum of the two base
-    /// latencies is a sound bound.
-    pub fn lookahead(&self) -> SimDuration {
-        self.local
-            .base_latency
-            .min(self.long_distance.base_latency)
-    }
 }
 
 /// Dynamic connectivity state: which pairs of partitions can currently talk.
@@ -265,35 +248,6 @@ mod tests {
         };
         let drops = (0..2_000).filter(|_| m.sample_drop(&mut rng)).count();
         assert!((800..1_200).contains(&drops), "drops={drops}");
-    }
-
-    #[test]
-    fn lookahead_is_the_minimum_internode_base_latency() {
-        assert_eq!(
-            NetConfig::ideal().lookahead(),
-            SimDuration::from_micros(1),
-            "ideal: both link classes bottom out at 1us"
-        );
-        let lan = NetConfig::default();
-        assert_eq!(
-            lan.lookahead(),
-            LinkModel::lan().base_latency,
-            "default: the LAN link is the tighter bound"
-        );
-        // Loopback never participates: a sub-lookahead loopback is fine.
-        assert!(lan.loopback < lan.lookahead());
-    }
-
-    #[test]
-    fn sampled_latency_never_undercuts_lookahead() {
-        let mut rng = DetRng::seed_from_u64(99);
-        let cfg = NetConfig::default();
-        for bytes in [0usize, 64, 4_096] {
-            for _ in 0..100 {
-                assert!(cfg.local.sample_latency(bytes, &mut rng) >= cfg.lookahead());
-                assert!(cfg.long_distance.sample_latency(bytes, &mut rng) >= cfg.lookahead());
-            }
-        }
     }
 
     #[test]

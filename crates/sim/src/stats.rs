@@ -66,11 +66,9 @@ impl Series {
 
     /// Arithmetic mean, or 0.0 when empty.
     ///
-    /// Summation runs over a *sorted* copy so the result is independent of
-    /// the order samples were recorded in. The parallel engine drains
-    /// per-shard series shard-by-shard, which permutes sample order relative
-    /// to a sequential run; sorting first keeps the floating-point sum (and
-    /// therefore every report byte) identical at any `NOW_SIM_JOBS`.
+    /// Summation runs over a *sorted* copy so the floating-point sum is
+    /// independent of the order samples were recorded in. The committed
+    /// experiment tables were produced under this rule.
     pub fn mean(&self) -> f64 {
         if self.samples.is_empty() {
             return 0.0;
@@ -167,14 +165,6 @@ impl Stats {
             let n = self.per_proc.len();
             self.fanout_tracking = Some(vec![BTreeSet::new(); n]);
         }
-    }
-
-    /// Whether distinct-destination tracking is on. The parallel engine
-    /// checks this when it explodes a sim into worker shards: every worker
-    /// books sends through its own table, so tracking must be armed there
-    /// too or windowed sends silently vanish from the fanout census.
-    pub fn fanout_tracking_enabled(&self) -> bool {
-        self.fanout_tracking.is_some()
     }
 
     /// Grows the per-process table to cover `pid`. Public for external
@@ -381,59 +371,6 @@ impl Stats {
         }
     }
 
-    /// Drains every count, sample, and set in `self` into `dst`, matching
-    /// named counters/series *by name* (ids may differ between tables).
-    ///
-    /// This is the merge step of the parallel engine: each worker shard
-    /// accumulates into its own `Stats`, and the shards are drained into the
-    /// main table at synchronisation points. All merged quantities are
-    /// commutative (sums, set unions, sample multisets), so the result is
-    /// independent of shard count. `self` keeps its registrations and table
-    /// sizing — cleared slots read as zero — so interned ids held by
-    /// processes stay valid across the drain.
-    pub fn drain_into(&mut self, dst: &mut Stats) {
-        dst.messages_sent += std::mem::take(&mut self.messages_sent);
-        dst.messages_delivered += std::mem::take(&mut self.messages_delivered);
-        dst.messages_dropped += std::mem::take(&mut self.messages_dropped);
-        dst.messages_stale_dropped += std::mem::take(&mut self.messages_stale_dropped);
-        dst.bytes_sent += std::mem::take(&mut self.bytes_sent);
-        if !self.per_proc.is_empty() {
-            dst.ensure_proc(Pid(self.per_proc.len() as u32 - 1));
-            for (i, p) in self.per_proc.iter_mut().enumerate() {
-                let d = &mut dst.per_proc[i];
-                d.sent += p.sent;
-                d.received += p.received;
-                d.bytes_sent += p.bytes_sent;
-                d.dropped_to += p.dropped_to;
-                *p = ProcStats::default();
-            }
-        }
-        if let Some(f) = &mut self.fanout_tracking {
-            dst.enable_fanout_tracking();
-            let df = dst.fanout_tracking.as_mut().expect("just enabled");
-            if df.len() < f.len() {
-                df.resize_with(f.len(), BTreeSet::new);
-            }
-            for (i, s) in f.iter_mut().enumerate() {
-                df[i].append(s);
-            }
-        }
-        // Zero counters and empty series still register in `dst`: a report
-        // lists every *registered* name, so an interned-but-never-bumped
-        // counter must show up (as zero) exactly as it would sequentially.
-        for (&name, &id) in &self.counter_index {
-            let v = std::mem::take(&mut self.counter_slots[id as usize]);
-            dst.bump_by(name, v);
-        }
-        for (&name, &id) in &self.series_index {
-            let s = &mut self.series_slots[id as usize];
-            let did = dst.series_id(name);
-            dst.series_slots[did.0 as usize]
-                .samples
-                .append(&mut s.samples);
-        }
-    }
-
     /// Sum of messages sent by every process in `pids`.
     pub fn sent_by(&self, pids: impl IntoIterator<Item = Pid>) -> u64 {
         pids.into_iter().map(|p| self.proc(p).sent).sum()
@@ -489,17 +426,6 @@ impl ObservationLog {
     /// Clears the log.
     pub fn clear(&mut self) {
         self.entries.clear();
-    }
-
-    /// Hands over all entries (parallel-window merge: workers drain their
-    /// local logs and the coordinator re-appends them in merged event order).
-    pub(crate) fn drain_entries(&mut self) -> Vec<Observation> {
-        std::mem::take(&mut self.entries)
-    }
-
-    /// Appends one observation in merged order (coordinator side).
-    pub(crate) fn append(&mut self, obs: Observation) {
-        self.entries.push(obs);
     }
 }
 
@@ -679,72 +605,6 @@ mod tests {
             rev.push(*v);
         }
         assert_eq!(fwd.mean().to_bits(), rev.mean().to_bits());
-    }
-
-    #[test]
-    fn drain_into_merges_by_name_and_keeps_registrations() {
-        let mut main = Stats::default();
-        let mut shard = Stats::default();
-        // Different registration orders: ids differ, names must still line up.
-        main.bump("beta");
-        shard.bump("alpha");
-        shard.bump_by("beta", 4);
-        shard.bump_by("zero", 0);
-        shard.sample("lat", 2.0);
-        shard.sample("lat", 4.0);
-        shard.record_send(Pid(3), Pid(1), 7);
-        shard.record_delivery(Pid(1));
-        shard.enable_fanout_tracking();
-        shard.record_send(Pid(0), Pid(5), 1);
-        let shard_id = shard.counter_id("alpha");
-
-        shard.drain_into(&mut main);
-
-        assert_eq!(main.counter("alpha"), 1);
-        assert_eq!(main.counter("beta"), 5);
-        // Never-bumped names still register so they appear in reports.
-        assert!(main.counters().contains_key("zero"));
-        assert_eq!(main.series("lat").len(), 2);
-        assert_eq!(main.messages_sent, 2);
-        assert_eq!(main.messages_delivered, 1);
-        assert_eq!(main.bytes_sent, 8);
-        assert_eq!(main.proc(Pid(3)).sent, 1);
-        assert_eq!(main.proc(Pid(1)).received, 1);
-        assert_eq!(main.distinct_destinations(Pid(0)), 1);
-
-        // The shard is empty but its interned handles survive.
-        assert_eq!(shard.messages_sent, 0);
-        assert_eq!(shard.counter("alpha"), 0);
-        assert_eq!(shard.series("lat").len(), 0);
-        shard.bump_id(shard_id);
-        assert_eq!(shard.counter("alpha"), 1);
-        // Draining twice is harmless and adds the new bump.
-        shard.drain_into(&mut main);
-        assert_eq!(main.counter("alpha"), 2);
-    }
-
-    #[test]
-    fn drain_order_does_not_change_aggregates() {
-        // Two shards drained in either order produce identical reports —
-        // the commutativity drain_into's determinism argument rests on.
-        let build = |order: [usize; 2]| {
-            let mut shards = [Stats::default(), Stats::default()];
-            shards[0].bump_by("c", 2);
-            shards[0].sample("s", 0.25);
-            shards[1].bump_by("c", 3);
-            shards[1].sample("s", 1e8);
-            shards[1].sample("s", 1.0);
-            let mut main = Stats::default();
-            for i in order {
-                shards[i].drain_into(&mut main);
-            }
-            (
-                main.counter("c"),
-                main.series("s").mean().to_bits(),
-                main.series("s").p50().to_bits(),
-            )
-        };
-        assert_eq!(build([0, 1]), build([1, 0]));
     }
 
     #[test]

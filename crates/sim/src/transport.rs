@@ -46,10 +46,8 @@ pub enum Action<M> {
         msg: M,
     },
     /// One payload, many destinations. The sim shares the message via a
-    /// single `Arc` instead of deep-cloning per destination (`Arc`, not
-    /// `Rc`, so in-flight envelopes can cross worker shards under
-    /// `NOW_SIM_JOBS`); a real backend encodes the payload once per
-    /// remote peer.
+    /// single `Rc` instead of deep-cloning per destination; a real backend
+    /// encodes the payload once per remote peer.
     Multicast {
         /// Destinations, in send order.
         dsts: Vec<Pid>,
@@ -267,10 +265,9 @@ pub struct Ctx<'a, M> {
     pub(crate) obs: &'a mut ObservationLog,
     pub(crate) next_timer: &'a mut u64,
     /// High bits OR-ed into every allocated [`TimerId`]. The daemon path
-    /// passes 0 (one global counter); the parallel-capable engine passes a
-    /// pid-derived prefix with a *per-process* counter so timer ids are
-    /// identical no matter which shard — or how many shards — allocated
-    /// them.
+    /// passes 0 (one global counter); the engine passes a pid-derived
+    /// prefix with a *per-process* counter, so an id names its owner and
+    /// depends only on that process's own execution order.
     pub(crate) timer_base: u64,
     pub(crate) actions: &'a mut Vec<Action<M>>,
     pub(crate) tracer: Option<&'a mut Tracer>,

@@ -35,7 +35,6 @@ fn jittery(seed: u64, jitter_us: u64) -> Sim<Probe> {
             loopback: SimDuration::from_micros(1),
             fifo: true,
         },
-        jobs: None,
     };
     Sim::new(cfg)
 }
@@ -105,7 +104,6 @@ proptest! {
                 loopback: SimDuration::from_micros(1),
                 fifo: true,
             },
-            jobs: None,
         };
         let mut sim: Sim<Probe> = Sim::new(cfg);
         let nodes = sim.add_nodes(2);
@@ -182,5 +180,37 @@ proptest! {
         for (_, _, at) in &sim.process(b).got {
             prop_assert!(*at <= crash_at);
         }
+    }
+}
+
+/// Process state and messages may hold an `Rc`: the engine is one
+/// sequential loop and demands neither `Send` nor `Sync` of what it hosts.
+#[test]
+fn rc_state_and_messages_run_a_multicast_round() {
+    use std::rc::Rc;
+
+    struct Keeper {
+        last: Rc<str>,
+    }
+
+    impl Process for Keeper {
+        type Msg = Rc<str>;
+
+        fn on_message(&mut self, _from: Pid, msg: Rc<str>, _ctx: &mut Ctx<'_, Rc<str>>) {
+            self.last = msg;
+        }
+    }
+
+    let mut sim: Sim<Keeper> = Sim::new(SimConfig::lan(5));
+    let pids: Vec<Pid> = sim
+        .add_nodes(4)
+        .into_iter()
+        .map(|n| sim.spawn(n, Keeper { last: Rc::from("") }))
+        .collect();
+    let dsts = pids[1..].to_vec();
+    sim.invoke(pids[0], |_, ctx| ctx.multicast(dsts, Rc::from("quote")));
+    sim.run_to_quiescence(SimTime(10_000_000));
+    for p in &pids[1..] {
+        assert_eq!(&*sim.process(*p).last, "quote");
     }
 }

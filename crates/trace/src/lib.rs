@@ -167,10 +167,9 @@ impl Tracer {
     /// Takes the retained events accumulated since the last drain, oldest
     /// first, leaving the tracer recording (seqs keep counting up; the
     /// rolling window is cleared too so a drained event is never returned
-    /// twice). This is the shard-buffer surface of the parallel engine: a
-    /// worker records into a private `retain_all` tracer, and the
-    /// coordinator drains it at each window barrier and re-records the
-    /// events into the main tracer in deterministic merged order.
+    /// twice). This is a log hand-over: a harness takes the events by
+    /// value (to analyse them, or to merge the logs of several daemons)
+    /// without cloning the whole retained log.
     pub fn drain_events(&mut self) -> Vec<TraceEvent> {
         self.ring.clear();
         std::mem::take(&mut self.all)
@@ -295,69 +294,6 @@ mod tests {
         let s = send(&mut tr, 3, 1, 2);
         assert_eq!(s, 3, "seqs keep counting across drains");
         assert_eq!(tr.drain_events().len(), 1);
-    }
-
-    #[test]
-    fn merged_re_recording_is_order_and_cause_faithful() {
-        // The parallel engine's trace path: N shard tracers record
-        // independently; the coordinator merges their drained events by a
-        // deterministic key and *re-records* them into one main tracer,
-        // rewriting shard-local seq references as it assigns global ones.
-        // The result must be exactly what a sequential run would have
-        // recorded: dense seqs in merge order, cause links intact.
-        let mut shard_a = Tracer::new().retain_all();
-        let mut shard_b = Tracer::new().retain_all();
-        // Shard A: a send at t=10 whose delivery lands on shard B.
-        let sa = send(&mut shard_a, 10, 1, 2);
-        // Shard B: an earlier, unrelated send at t=5, then the delivery of
-        // A's message at t=20, then a reply caused by that delivery.
-        let sb = send(&mut shard_b, 5, 2, 9);
-        let da = shard_b.record(20, 2, None, EventKind::NetDeliver { from: 1, send: 0 });
-        shard_b.record(20, 2, Some(da), EventKind::NetSend { to: 1, bytes: 64 });
-        let _ = (sa, sb);
-
-        // Merge by (at, shard-local seq) — the stand-in for the engine's
-        // (time, class, seq, pid) key — rewriting local refs to global.
-        let mut merged: Vec<(u64, usize, TraceEvent)> = shard_a
-            .drain_events()
-            .into_iter()
-            .map(|e| (e.at, 0usize, e))
-            .chain(shard_b.drain_events().into_iter().map(|e| (e.at, 1usize, e)))
-            .collect();
-        merged.sort_by_key(|(at, shard, e)| (*at, *shard, e.seq));
-
-        let mut main = Tracer::new().retain_all();
-        // local (shard, seq) -> global seq, filled as we re-record.
-        let mut remap: std::collections::BTreeMap<(usize, u64), u64> =
-            std::collections::BTreeMap::new();
-        let mut wire_of_a_send = 0;
-        for (at, shard, e) in merged {
-            let cause = e.cause.map(|c| remap[&(shard, c)]);
-            let kind = match e.kind {
-                EventKind::NetDeliver { from, .. } => {
-                    EventKind::NetDeliver { from, send: wire_of_a_send }
-                }
-                k => k,
-            };
-            let g = main.record(at, e.pid, cause, kind);
-            remap.insert((shard, e.seq), g);
-            if at == 10 {
-                wire_of_a_send = g; // A's send, once merged, is the wire id.
-            }
-        }
-
-        let evs = main.events();
-        let seqs: Vec<u64> = evs.iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![1, 2, 3, 4], "dense seqs in merged order");
-        let ats: Vec<u64> = evs.iter().map(|e| e.at).collect();
-        assert_eq!(ats, vec![5, 10, 20, 20], "time-ordered emission");
-        // The delivery's wire ref points at the merged seq of A's send, and
-        // the reply's cause points at the merged seq of the delivery.
-        assert!(matches!(evs[2].kind, EventKind::NetDeliver { send: 2, .. }));
-        assert_eq!(evs[3].cause, Some(3));
-        // Re-recording is what a monitor-armed tracer would have seen, so
-        // the excerpt machinery works on merged output unchanged.
-        assert_eq!(main.excerpt(4).len(), 2);
     }
 
     #[test]

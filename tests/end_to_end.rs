@@ -125,44 +125,6 @@ fn transport_refactor_digests_are_stable() {
     );
 }
 
-/// The conservative parallel engine must be invisible in the output: the
-/// same hierarchy scenario as above, run with 4 worker shards, produces the
-/// exact digest of the sequential run. This is the end-to-end counterpart
-/// of the byte-identity tests inside `now_sim::par` — full protocol stack,
-/// LAN latency model, real broadcast traffic.
-#[test]
-fn parallel_execution_matches_sequential_digests() {
-    let digest = |jobs: usize| {
-        let mut h = isis_repro::hier::harness::large_cluster_with(
-            24,
-            LargeGroupConfig::new(2, 4),
-            isis_repro::core::IsisConfig::default(),
-            isis_repro::sim::SimConfig::lan(7).with_jobs(jobs),
-        );
-        for i in 0..5 {
-            let origin = h.members[3];
-            h.lbcast(origin, &format!("b{i}"));
-        }
-        h.run_for(SimDuration::from_secs(30));
-        h.assert_uniform_lbcast_logs();
-        let st = h.sim.stats();
-        (
-            st.messages_sent,
-            st.messages_delivered,
-            st.bytes_sent,
-            h.sim.now().as_micros(),
-            format!("{:?}", st.counters()),
-        )
-    };
-    let seq = digest(1);
-    assert_eq!(
-        (seq.0, seq.1, seq.2, seq.3),
-        (15451, 15451, 793192, 30011296),
-        "sequential baseline drifted"
-    );
-    assert_eq!(digest(4), seq, "4-shard run diverged from sequential");
-}
-
 #[test]
 fn workloads_through_facade() {
     let t = isis_repro::apps::run_trading_hier(
