@@ -5,7 +5,9 @@
 #      regression tests and the tracer on/off byte-identity proof),
 #   3. monitor-armed quick experiment sweep: every experiment runs with the
 #      online virtual-synchrony invariant monitors in panic mode, so any
-#      violation anywhere in the stack fails the gate,
+#      violation anywhere in the stack fails the gate; its tables (everything
+#      above the `sweep wall-clock` line) must match
+#      tests/golden/experiments_quick.txt byte for byte,
 #   4. the benchmark crate (`perf/`, a workspace of its own that path-depends
 #      on these crates): its tests, then every workload in smoke mode —
 #      gated on the output oracles only, never on its times,
@@ -20,7 +22,10 @@
 #      1000 generated adversarial scenarios (correlated crashes, partition
 #      flaps, storms, rep-chain kills, crash-recover churn) with the
 #      monitors — including VS-REJOIN — armed as oracles — any violation
-#      fails the gate; the coverage census lands in artifacts,
+#      fails the gate; its printed lines (all but the `census written to`
+#      line, which names the file) must match
+#      tests/golden/chaos_sweep_1000_seed1.txt byte for byte; the coverage
+#      census lands in artifacts,
 #   9. the determinism linter, emitting its machine-readable report.
 # Fails on the first broken step or on any non-allowlisted lint finding.
 # Artifacts land in BENCH_artifacts/.
@@ -41,6 +46,9 @@ cargo test -q
 echo "==> QUICK=1 NOW_MONITORS=1 all_experiments (invariant monitors armed)"
 QUICK=1 NOW_MONITORS=1 cargo run --quiet --release -p isis-bench --bin all_experiments \
     | tee BENCH_artifacts/experiments_quick.txt
+echo "==> experiment tables vs tests/golden/experiments_quick.txt"
+sed '/^sweep wall-clock/,$d' BENCH_artifacts/experiments_quick.txt \
+    | diff -u tests/golden/experiments_quick.txt -
 
 echo "==> perf/: tests + every workload in smoke mode (output oracles only)"
 # perf/ builds against these crates' public API but lives outside the
@@ -66,6 +74,9 @@ echo "==> chaos sweep (1000 adversarial scenarios, monitors armed)"
 cargo run --quiet --release -p now-chaos --bin chaos_sweep -- \
     --scenarios 1000 --seed 1 --census BENCH_artifacts/chaos_census.json \
     | tee BENCH_artifacts/chaos_sweep.txt
+echo "==> chaos lines vs tests/golden/chaos_sweep_1000_seed1.txt"
+grep -v '^census written to ' BENCH_artifacts/chaos_sweep.txt \
+    | diff -u tests/golden/chaos_sweep_1000_seed1.txt -
 
 echo "==> cargo run -p detlint -- --json"
 cargo run --quiet -p detlint -- --json | tee BENCH_artifacts/detlint.json

@@ -200,6 +200,15 @@ pub(crate) struct GroupRuntime<A: Application> {
     cvt: VClock,
     /// Delivered FIFO casts per sender.
     fdel: VClock,
+    /// Highest delivered ABCAST `seq` per sender, for each view this member
+    /// delivered ABCASTs of. One sequencer per view and FIFO channels make
+    /// a sender's ABCASTs deliver in `seq` order, so an id at or below its
+    /// sender's mark is one this member delivered: that is how it
+    /// recognises total-order ids, which never enter `delivered_ids`.
+    /// Never reset or pruned: a flush may relay an old view's ABCAST long
+    /// after stability pruned it here (see [`GroupRuntime::gc_stability`]).
+    /// It costs one entry per sender and view, not one per message.
+    tdel: BTreeMap<ViewId, VClock>,
     /// Highest contiguously delivered ABCAST global sequence.
     adel: u64,
     pending_causal: Vec<PendingCast<A::Payload>>,
@@ -217,6 +226,10 @@ pub(crate) struct GroupRuntime<A: Application> {
     retained_causal: BTreeMap<MsgId, (VClock, A::Payload)>,
     retained_fifo: BTreeMap<MsgId, A::Payload>,
     retained_total: BTreeMap<u64, (MsgId, A::Payload)>,
+    /// `retained_total` may still hold an earlier view's entries; the first
+    /// completed stability pass of the current view drops them.
+    stale_total: bool,
+    /// Delivered causal and FIFO ids that stability has not pruned yet.
     delivered_ids: BTreeSet<MsgId>,
 
     // --- stability ---
@@ -274,6 +287,7 @@ impl<A: Application> GroupRuntime<A> {
             wedged_outbox: Vec::new(),
             cvt: VClock::new(),
             fdel: VClock::new(),
+            tdel: BTreeMap::new(),
             adel: 0,
             pending_causal: Vec::new(),
             pending_fifo: BTreeMap::new(),
@@ -284,6 +298,7 @@ impl<A: Application> GroupRuntime<A> {
             retained_causal: BTreeMap::new(),
             retained_fifo: BTreeMap::new(),
             retained_total: BTreeMap::new(),
+            stale_total: false,
             delivered_ids: BTreeSet::new(),
             stab_seen: BTreeMap::new(),
             last_heard: BTreeMap::new(),
@@ -307,11 +322,23 @@ impl<A: Application> GroupRuntime<A> {
     /// exported state snapshot so a joiner install carries a consistent
     /// `(state, floor)` pair.
     pub(crate) fn delivery_floor(&self) -> DeliveryFloor {
+        // The ABCAST marks travel as each sender's last delivered id per
+        // view, from which the joiner rebuilds them.
+        let marks = self.tdel.iter().flat_map(|(&view, m)| {
+            m.iter().map(move |(sender, seq)| MsgId {
+                sender,
+                view,
+                stream: CastKind::Total.stream(),
+                seq,
+            })
+        });
+        let mut delivered: Vec<MsgId> = self.delivered_ids.iter().copied().chain(marks).collect();
+        delivered.sort_unstable();
         DeliveryFloor {
             cvt: self.cvt.clone(),
             fdel: self.fdel.clone(),
             adel: self.adel,
-            delivered: self.delivered_ids.iter().copied().collect(),
+            delivered,
         }
     }
 
@@ -324,7 +351,14 @@ impl<A: Application> GroupRuntime<A> {
         self.fdel = f.fdel;
         self.adel = f.adel;
         self.next_gseq = self.adel + 1;
-        self.delivered_ids = f.delivered.into_iter().collect();
+        let (total, other): (Vec<MsgId>, Vec<MsgId>) = f
+            .delivered
+            .into_iter()
+            .partition(|id| id.stream == CastKind::Total.stream());
+        self.delivered_ids = other.into_iter().collect();
+        for id in total {
+            self.mark_total(id);
+        }
     }
 
     pub(crate) fn reset_liveness(&mut self, now: SimTime) {
@@ -500,34 +534,34 @@ impl<A: Application> GroupRuntime<A> {
     // Incoming data
     // ------------------------------------------------------------------
 
-    /// Handles an incoming [`CastData`]. Returns `true` if consumed,
-    /// `false` if it belongs to a future view (caller buffers it).
+    /// Handles an incoming [`CastData`]. Hands the cast back if it belongs
+    /// to a future view (the caller buffers it); `None` once consumed.
     pub fn handle_cast(
         &mut self,
         from: Pid,
         data: CastData<A::Payload>,
         env: &mut Env<'_, '_, A>,
-    ) -> bool {
+    ) -> Option<CastData<A::Payload>> {
         self.heard_from(from, env.now());
         if data.view > self.view.view_id {
-            return false;
+            return Some(data);
         }
         if data.view < self.view.view_id {
             // Stale: the view change that superseded it already decided its
             // fate via the relay.
             env.ctx.bump("isis.recv.stale_cast");
-            return true;
+            return None;
         }
         if self.status == Status::Wedged {
             // The flush cut is being computed; late arrivals are dropped —
             // if anyone delivered this message pre-ack it is in the relay.
             env.ctx.bump("isis.recv.wedged_drop");
-            return true;
+            return None;
         }
         self.note_stab(from, &data.stab);
-        if self.delivered_ids.contains(&data.id) {
+        if self.delivered_ids.contains(&data.id) || self.total_delivered(&data.id) {
             env.ctx.bump("isis.recv.dup");
-            return true;
+            return None;
         }
         match data.kind {
             CastKind::Causal => {
@@ -574,7 +608,19 @@ impl<A: Application> GroupRuntime<A> {
             }
         }
         self.gc_stability();
-        true
+        None
+    }
+
+    /// Whether `id` is an ABCAST this member already delivered (see `tdel`).
+    fn total_delivered(&self, id: &MsgId) -> bool {
+        id.stream == CastKind::Total.stream()
+            && self.tdel.get(&id.view).is_some_and(|m| id.seq <= m.get(id.sender))
+    }
+
+    /// Records the delivery of ABCAST `id` (see `tdel`).
+    fn mark_total(&mut self, id: MsgId) {
+        let m = self.tdel.entry(id.view).or_default();
+        m.set(id.sender, id.seq.max(m.get(id.sender)));
     }
 
     /// Handles an ABCAST order announcement. Returns `false` for a future
@@ -706,7 +752,7 @@ impl<A: Application> GroupRuntime<A> {
             relay,
             vt: Vec::new(),
         });
-        self.delivered_ids.insert(id);
+        self.mark_total(id);
         self.retained_total.insert(gseq, (id, payload.clone()));
         self.stab_dirty = true;
         env.effects.push(Effect::Deliver {
@@ -779,7 +825,7 @@ impl<A: Application> GroupRuntime<A> {
     /// Sequencer: assigns the next global sequence to `id` and announces
     /// the decision.
     fn assign_order(&mut self, id: MsgId, env: &mut Env<'_, '_, A>) {
-        if self.aseq_assigned.contains_key(&id) || self.delivered_ids.contains(&id) {
+        if self.aseq_assigned.contains_key(&id) || self.total_delivered(&id) {
             return;
         }
         let gseq = self.next_gseq;
@@ -812,18 +858,20 @@ impl<A: Application> GroupRuntime<A> {
         }
         let vid = self.view.view_id;
         let members = &self.view.members;
+        // Stability needs a current-view snapshot from every peer. Until
+        // then a pass could conclude nothing, so it stops at the first peer
+        // without one, before building any table, leaving the dirty flag
+        // set for the next attempt.
+        let current = |p: &Pid| self.stab_seen.get(p).filter(|sv| sv.view == vid);
+        if !members.iter().all(|p| *p == self.me || current(p).is_some()) {
+            return;
+        }
         // Per-sender stable floors: the minimum of my own delivery vectors
-        // and every peer's snapshot (valid only if it refers to the current
-        // view — otherwise stability cannot be concluded yet and the pass
-        // is abandoned, leaving the dirty flag set for the next attempt).
+        // and every peer's snapshot.
         let mut stable_c: Vec<u64> = members.iter().map(|&s| self.cvt.get(s)).collect();
         let mut stable_f: Vec<u64> = members.iter().map(|&s| self.fdel.get(s)).collect();
         let mut stable_a = self.adel;
-        for &p in members.iter().filter(|&&p| p != self.me) {
-            let sv = match self.stab_seen.get(&p) {
-                Some(sv) if sv.view == vid => sv,
-                _ => return,
-            };
+        for sv in members.iter().filter(|&&p| p != self.me).filter_map(current) {
             for (k, &s) in members.iter().enumerate() {
                 stable_c[k] = stable_c[k].min(sv.cvt.get(s));
                 stable_f[k] = stable_f[k].min(sv.fvt.get(s));
@@ -837,31 +885,42 @@ impl<A: Application> GroupRuntime<A> {
                 .map_or(0, |k| table[k])
         };
 
-        self.retained_causal
-            .retain(|id, _| id.view != vid || id.seq > floor(&stable_c, id.sender));
-        self.retained_fifo
-            .retain(|id, _| id.view != vid || id.seq > floor(&stable_f, id.sender));
-        self.retained_total.retain(|gseq, _| *gseq > stable_a);
+        // Every member has installed this view, so no flush needs an older
+        // view's relay buffers any more. `retained_total` is keyed by gseq,
+        // which restarts each view: its older entries go here, once per
+        // view, not by the gseq floor below.
+        if self.stale_total {
+            self.retained_total.retain(|_, (id, _)| id.view >= vid);
+            self.stale_total = false;
+        }
+        // A total-order message is stable with its gseq; its ack entry
+        // leaves with it.
+        while let Some(e) = self.retained_total.first_entry() {
+            if *e.key() > stable_a {
+                break;
+            }
+            let (id, _) = e.remove();
+            self.ack_counts.remove(&id);
+        }
         self.aseq_assigned.retain(|_, gseq| *gseq > stable_a);
-        self.delivered_ids.retain(|id| {
+        // Current-view causal and FIFO ids are stable at their sender's
+        // floor. An older view's ids outlive it by one view change, in case
+        // a flush leader died mid-install and relays them again; its relay
+        // buffers do not.
+        let keep_id = |id: &MsgId| {
             if id.view != vid {
-                return true; // Cross-view ids pruned below.
+                return id.view + 1 >= vid;
             }
             match id.stream {
                 0 => id.seq > floor(&stable_c, id.sender),
                 1 => id.seq > floor(&stable_f, id.sender),
-                _ => true, // Total: keyed by gseq via retained_total; prune below.
+                _ => true, // Total: only in `ack_counts`, pruned above.
             }
-        });
-        // Total-stream delivered ids: stable once their gseq is stable; we
-        // no longer know the gseq after pruning retained_total, so prune by
-        // the conservative rule "not in any live buffer and view is old".
-        // (Every peer snapshot was checked against `vid` above.)
-        self.retained_causal.retain(|id, _| id.view >= vid);
-        self.retained_fifo.retain(|id, _| id.view >= vid);
-        self.delivered_ids
-            .retain(|id| id.view + 1 >= vid || id.stream == 2);
-        self.ack_counts.retain(|id, _| id.view + 1 >= vid);
+        };
+        self.retained_causal.retain(|id, _| id.view >= vid && keep_id(id));
+        self.retained_fifo.retain(|id, _| id.view >= vid && keep_id(id));
+        self.delivered_ids.retain(keep_id);
+        self.ack_counts.retain(|id, _| keep_id(id));
         self.stab_dirty = false;
     }
 
@@ -978,7 +1037,7 @@ impl<A: Application> GroupRuntime<A> {
         let mut total: Vec<&(u64, MsgId, A::Payload)> = relay.total_ordered.iter().collect();
         total.sort_by_key(|(g, _, _)| *g);
         for (gseq, id, p) in total {
-            if self.delivered_ids.contains(id) {
+            if self.total_delivered(id) {
                 continue;
             }
             if id.view == self.view.view_id {
@@ -1000,7 +1059,7 @@ impl<A: Application> GroupRuntime<A> {
                     relay: true,
                     vt: Vec::new(),
                 });
-                self.delivered_ids.insert(*id);
+                self.mark_total(*id);
                 env.effects.push(Effect::Deliver {
                     gid: self.gid,
                     from: id.sender,
@@ -1035,6 +1094,7 @@ impl<A: Application> GroupRuntime<A> {
         // Retained buffers and delivered ids survive one view change, in
         // case the flush leader died mid-install; gc_stability prunes them
         // once everyone confirms the new view.
+        self.stale_total = !self.retained_total.is_empty();
         self.stab_seen.clear();
         self.suspects.clear();
         self.vc = None;
@@ -1087,5 +1147,275 @@ impl<A: Application> GroupRuntime<A> {
                 stab,
             },
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeMap;
+
+    use now_sim::SimDuration;
+
+    use super::GroupRuntime;
+    use crate::config::IsisConfig;
+    use crate::msg::{CastData, IsisMsg, StabilityVector};
+    use crate::testutil::{cluster, Cluster, RecorderApp};
+    use crate::types::{CastKind, MsgId};
+    use crate::vclock::VClock;
+
+    fn rt(c: &Cluster, i: usize) -> &GroupRuntime<RecorderApp> {
+        c.sim.process(c.pids[i]).runtime(c.gid).expect("member")
+    }
+
+    /// The `CastKind::Total` twin of the flat decay check, by count: what a
+    /// member keeps per delivered ABCAST (its relay entry, and formerly its
+    /// id in `delivered_ids`) covers what stability has not confirmed yet,
+    /// not the whole history of the stream; the marks hold one entry per
+    /// sender.
+    #[test]
+    fn abcast_state_stays_bounded_over_a_long_stream() {
+        const N: usize = 16;
+        let cfg = IsisConfig::default();
+        // Two heartbeat intervals' worth of casts at one per millisecond.
+        let bound = 2 * (cfg.heartbeat.as_micros() / 1_000) as usize;
+        let mut c = cluster(N, cfg, 21);
+        let gid = c.gid;
+        for quarter in 0..4 {
+            for i in 0..500 {
+                let from = c.pids[(quarter * 500 + i) % N];
+                let payload = format!("q{quarter}m{i}");
+                c.sim.invoke(from, move |p, ctx| {
+                    p.cast(gid, CastKind::Total, payload, ctx).expect("member")
+                });
+                c.sim.run_for(SimDuration::from_millis(1));
+            }
+            for i in 0..N {
+                let r = rt(&c, i);
+                let held = r.delivered_ids.len() + r.retained_total.len();
+                assert!(
+                    held < bound,
+                    "after quarter {quarter} member {i} holds {held} ids (bound {bound})"
+                );
+                let marks: usize = r.tdel.values().map(VClock::len).sum();
+                assert!(marks <= N, "member {i} holds {marks} ABCAST marks");
+            }
+        }
+        c.sim.run_for(SimDuration::from_secs(1));
+        for (p, log) in c.live_logs() {
+            assert_eq!(log.len(), 2_000, "{p} missed deliveries");
+        }
+        c.assert_identical_logs();
+    }
+
+    /// Has `pids[i]` leave and waits for the `expect` survivors to agree.
+    fn leave(c: &mut Cluster, i: usize, expect: usize) {
+        let gid = c.gid;
+        c.sim
+            .invoke(c.pids[i], move |p, ctx| p.leave(gid, ctx))
+            .expect("alive")
+            .expect("member");
+        c.await_membership(expect, SimDuration::from_secs(10));
+    }
+
+    /// How often each process, leavers included, delivered `payload`.
+    fn times_delivered(c: &Cluster, payload: &str) -> Vec<usize> {
+        c.pids
+            .iter()
+            .map(|&p| {
+                let log = c.sim.process(p).app().payloads(c.gid);
+                log.iter().filter(|m| *m == payload).count()
+            })
+            .collect()
+    }
+
+    /// An ABCAST still unstable when its view ends stays in the relay
+    /// buffers of the next view only until that view's first completed
+    /// stability pass. Kept longer, views with fewer ABCASTs than its gseq
+    /// never pop it, and once its id has aged out of `delivered_ids` a
+    /// later flush relays it and every member delivers it again.
+    #[test]
+    fn abcast_unstable_at_a_view_change_is_delivered_once() {
+        let mut c = cluster(6, IsisConfig::default(), 3);
+        let gid = c.gid;
+        c.sim.invoke(c.pids[1], move |p, ctx| {
+            p.cast(gid, CastKind::Total, "x".to_string(), ctx).expect("member")
+        });
+        c.sim.run_for(SimDuration::from_millis(1));
+        assert!(
+            (0..6).all(|i| rt(&c, i).retained_total.len() == 1),
+            "precondition: the ABCAST is delivered but not yet stable"
+        );
+        for (leaver, left) in [(5, 5), (4, 4), (3, 3)] {
+            leave(&mut c, leaver, left);
+            c.sim.run_for(SimDuration::from_secs(1));
+            for i in 0..left {
+                assert!(rt(&c, i).retained_total.is_empty(), "member {i} still buffers x");
+            }
+        }
+        assert_eq!(times_delivered(&c, "x"), vec![1; 6]);
+    }
+
+    /// In a group without heartbeats, stability snapshots ride only on
+    /// casts, so one member can prune an ABCAST's id while another keeps
+    /// the ABCAST buffered through any number of view changes and relays
+    /// it in every flush. The per-view delivery marks still recognise it.
+    #[test]
+    fn abcast_pruned_at_one_member_is_not_delivered_again_by_later_relays() {
+        let mut c = cluster(6, IsisConfig::quiet(), 4);
+        let gid = c.gid;
+        let cast = |c: &mut Cluster, i: usize, kind: CastKind, m: &str| {
+            let m = m.to_string();
+            c.sim.invoke(c.pids[i], move |p, ctx| p.cast(gid, kind, m, ctx).expect("member"));
+            c.sim.run_for(SimDuration::from_millis(10));
+        };
+        cast(&mut c, 0, CastKind::Total, "x");
+        // Everyone but member 2 casts after delivering x, so member 2
+        // learns that x is stable and the others never do.
+        for i in [0, 1, 3, 4, 5] {
+            cast(&mut c, i, CastKind::Fifo, &format!("after{i}"));
+        }
+        let holds_x: Vec<bool> = (0..6).map(|i| !rt(&c, i).retained_total.is_empty()).collect();
+        assert_eq!(
+            holds_x,
+            [true, true, false, true, true, true],
+            "precondition: member 2 alone pruned x"
+        );
+        for (leaver, left) in [(5, 5), (4, 4), (3, 3)] {
+            leave(&mut c, leaver, left);
+        }
+        assert_eq!(times_delivered(&c, "x"), vec![1; 6]);
+    }
+
+    /// A joiner started from a donor's delivery floor recognises every
+    /// ABCAST the donor delivered — in this view and earlier ones, stable
+    /// and pruned or not — so neither a stale duplicate nor a later relay
+    /// is applied on top of the state it imported.
+    #[test]
+    fn joiner_floor_carries_the_abcast_marks() {
+        let mut c = cluster(4, IsisConfig::default(), 6);
+        let gid = c.gid;
+        let mut sent = Vec::new();
+        for round in 0..2 {
+            for i in 0..20 {
+                let from = c.pids[i % 3];
+                let id = c
+                    .sim
+                    .invoke(from, move |p, ctx| {
+                        p.cast(gid, CastKind::Total, format!("r{round}m{i}"), ctx)
+                    })
+                    .expect("alive")
+                    .expect("member")
+                    .expect("not wedged");
+                sent.push(id);
+                c.sim.run_for(SimDuration::from_millis(50));
+            }
+            if round == 0 {
+                leave(&mut c, 3, 3);
+            }
+        }
+        let donor = rt(&c, 0);
+        assert!(
+            donor.retained_total.len() < 20,
+            "precondition: stability pruned some of the last view's ABCASTs"
+        );
+        let mut joiner =
+            GroupRuntime::<RecorderApp>::new_joined(donor.view.clone(), c.pids[3], c.sim.now());
+        joiner.set_delivery_floor(donor.delivery_floor());
+        for id in &sent {
+            assert!(joiner.total_delivered(id), "{id:?} not recognised");
+        }
+        let next = MsgId { seq: sent[sent.len() - 1].seq + 1, ..sent[sent.len() - 1] };
+        assert!(!joiner.total_delivered(&next));
+        assert_eq!(joiner.tdel, donor.tdel);
+        assert_eq!(joiner.delivered_ids, donor.delivered_ids);
+    }
+
+    /// Once stability pruned an ABCAST's id, a stale duplicate of it
+    /// reaching the sequencer is still recognized — by the per-sender
+    /// delivered mark — so it is counted, not ordered again, and delivered
+    /// nowhere a second time.
+    #[test]
+    fn stale_abcast_duplicate_is_not_sequenced_again() {
+        let mut c = cluster(4, IsisConfig::default(), 5);
+        let gid = c.gid;
+        let (sequencer, sender) = (c.pids[0], c.pids[1]);
+        assert_eq!(rt(&c, 0).sequencer(), sequencer);
+        let id = c
+            .sim
+            .invoke(sender, move |p, ctx| {
+                p.cast(gid, CastKind::Total, "x".to_string(), ctx)
+            })
+            .expect("alive")
+            .expect("member")
+            .expect("not wedged");
+        // Heartbeats carry everyone's progress: the cast becomes stable.
+        c.sim.run_for(SimDuration::from_secs(1));
+        let seq_rt = rt(&c, 0);
+        assert!(
+            seq_rt.retained_total.is_empty() && !seq_rt.delivered_ids.contains(&id),
+            "precondition: {id:?} is stable and pruned"
+        );
+        let dup = CastData {
+            gid,
+            view: seq_rt.view.view_id,
+            kind: CastKind::Total,
+            id,
+            vt: VClock::new(),
+            stab: StabilityVector::default(),
+            want_ack: false,
+            payload: "x".to_string(),
+        };
+        let dups = c.sim.stats().counter("isis.recv.dup");
+        let orders = c.sim.stats().counter("isis.sent.abcast_order");
+        c.sim
+            .invoke(sender, move |_, ctx| ctx.send(sequencer, IsisMsg::Cast(dup)));
+        c.sim.run_for(SimDuration::from_secs(1));
+        assert_eq!(c.sim.stats().counter("isis.recv.dup"), dups + 1);
+        assert_eq!(c.sim.stats().counter("isis.sent.abcast_order"), orders);
+        for (p, log) in c.live_logs() {
+            assert_eq!(log, vec!["x".to_string()], "{p}");
+        }
+    }
+
+    /// `ack_counts` entries leave at their id's stability floor. That loses
+    /// no ack: an acker's ack travels on its FIFO channel ahead of any
+    /// snapshot showing the delivery, so every cast still reports counts
+    /// 1..n-1 to the application.
+    #[test]
+    fn ack_counts_are_pruned_at_stability_without_losing_acks() {
+        const N: usize = 4;
+        const CASTS: usize = 1_200;
+        let mut c = cluster(N, IsisConfig::default(), 9);
+        let gid = c.gid;
+        let kinds = [CastKind::Causal, CastKind::Fifo, CastKind::Total];
+        let mut sent: Vec<Vec<MsgId>> = vec![Vec::new(); N];
+        let mut peak = 0;
+        for i in 0..CASTS {
+            let (who, kind) = (i % N, kinds[i % kinds.len()]);
+            let id = c
+                .sim
+                .invoke(c.pids[who], move |p, ctx| {
+                    p.cast_acked(gid, kind, format!("m{i}"), ctx)
+                })
+                .expect("alive")
+                .expect("member")
+                .expect("not wedged");
+            sent[who].push(id);
+            c.sim.run_for(SimDuration::from_millis(1));
+            peak = (0..N).map(|k| rt(&c, k).ack_counts.len()).fold(peak, usize::max);
+        }
+        c.sim.run_for(SimDuration::from_secs(1));
+        assert!(peak < CASTS / N / 4, "ack_counts peaked at {peak}");
+        for (k, ids) in sent.iter().enumerate() {
+            assert!(rt(&c, k).ack_counts.is_empty(), "member {k} kept ack counts");
+            let mut counts: BTreeMap<MsgId, Vec<usize>> = BTreeMap::new();
+            for &(id, n) in &c.sim.process(c.pids[k]).app().acks {
+                counts.entry(id).or_default().push(n);
+            }
+            assert_eq!(counts.len(), ids.len(), "member {k}: acked casts");
+            for id in ids {
+                assert_eq!(counts[id], (1..N).collect::<Vec<_>>(), "{id:?}");
+            }
+        }
     }
 }

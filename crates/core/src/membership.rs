@@ -26,7 +26,7 @@ impl<A: Application> GroupRuntime<A> {
     pub(crate) fn dispatch(&mut self, from: Pid, msg: crate::app::MsgOf<A>, env: &mut Env<'_, '_, A>) {
         match msg {
             IsisMsg::Cast(data) => {
-                if !self.handle_cast(from, data.clone(), env) {
+                if let Some(data) = self.handle_cast(from, data, env) {
                     self.future_inbox.push((from, IsisMsg::Cast(data)));
                 }
             }

@@ -114,9 +114,10 @@ pub struct DeliveryFloor {
     pub fdel: VClock,
     /// Highest contiguously delivered ABCAST global sequence.
     pub adel: u64,
-    /// Delivered-but-not-yet-stable ids (dedups cross-view relays, which
-    /// bypass the per-view floors above). Sorted; bounded by the donor's
-    /// retransmission buffers.
+    /// Delivered-but-not-yet-stable causal and FIFO ids (dedups cross-view
+    /// relays, which bypass the per-view floors above), plus each sender's
+    /// last delivered ABCAST id per view, from which the joiner rebuilds
+    /// its per-sender ABCAST marks. Sorted.
     pub delivered: Vec<MsgId>,
 }
 

@@ -147,6 +147,12 @@ impl<A: Application> IsisProcess<A> {
         self.groups.get(&gid).map_or(0, GroupRuntime::relay_buffer_len)
     }
 
+    /// The runtime of `gid`, for unit tests that inspect its buffers.
+    #[cfg(test)]
+    pub(crate) fn runtime(&self, gid: GroupId) -> Option<&GroupRuntime<A>> {
+        self.groups.get(&gid)
+    }
+
     // ------------------------------------------------------------------
     // Public protocol entry points (invoke from the harness)
     // ------------------------------------------------------------------
