@@ -249,7 +249,7 @@ fn pin_flow_analyzer_sees_the_protocol_enums() {
         ("IsisMsg", 13),
         ("HierPayload", 4),
         ("TreeMsg", 6),
-        ("CtlMsg", 12),
+        ("CtlMsg", 13),
         ("LeaderCmd", 6),
         ("NameMsg", 4),
         ("HSvcMsg", 14),

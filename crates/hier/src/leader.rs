@@ -17,6 +17,7 @@
 //! hierarchy manager itself.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use now_sim::trace::EventKind as TraceKind;
 use now_sim::Pid;
@@ -27,7 +28,7 @@ use crate::business::LargeApp;
 use crate::ids::LargeGroupId;
 use crate::member::{contact_prefix, HierApp};
 use crate::msg::{CtlMsg, HierPayload, HierState, LeaderCmd};
-use crate::view::{HierView, LeafDesc};
+use crate::view::{HierView, LeafDesc, RoutingSlice};
 
 /// An operation in flight on one leaf.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -116,27 +117,37 @@ impl<B: LargeApp> HierApp<B> {
             .is_some_and(|r| r.leader_members.first() == Some(&me))
     }
 
-    /// Sends the current structure to the root rep for down-tree
-    /// distribution. Active leader only.
+    /// Delivers a structure push to `to`, through the local handler when
+    /// this leader member is itself that rep (tiny deployments).
+    fn send_push(&mut self, to: Pid, msg: CtlMsg, up: &mut Uplink<'_, '_, Self>) {
+        if to == up.me() {
+            self.rep_or_leader_ctl(to, msg, up);
+        } else {
+            up.direct(to, HierPayload::Ctl(msg));
+        }
+    }
+
+    /// Sends the whole structure to the root rep for down-tree
+    /// distribution. Only for changes that renumber the tree (a leaf
+    /// removed, a leader takeover), after which any rep's slice may have
+    /// moved; costs one message per leaf. Active leader only.
     fn push_structure(&mut self, lgid: LargeGroupId, up: &mut Uplink<'_, '_, Self>) {
         let Some(r) = self.leaders.get(&lgid) else {
             return;
         };
-        let Some(root) = r.view.root() else { return };
-        let Some(rep) = root.rep() else { return };
-        let view = r.view.clone();
+        let Some(rep) = r.view.root().and_then(LeafDesc::rep) else {
+            return;
+        };
+        let view = Arc::new(r.view.clone());
         up.bump("hier.push_structure");
-        if rep == up.me() {
-            // The leader member is itself the root rep (tiny deployments).
-            self.rep_or_leader_ctl(up.me(), CtlMsg::HierPush { view, propagate: true }, up);
-        } else {
-            up.direct(rep, HierPayload::Ctl(CtlMsg::HierPush { view, propagate: true }));
-        }
+        self.send_push(rep, CtlMsg::HierPush { view }, up);
     }
 
-    /// Sends the current structure directly to the reps of `leaf`, its
-    /// parent, and its children — the only processes whose routing slices
-    /// mention it. Active leader only; cost is O(fanout).
+    /// Sends the reps of `leaf`, its parent and its children — the only
+    /// processes whose routing slices mention it — each its own slice.
+    /// Serves every change confined to that neighbourhood: an appended leaf
+    /// (which has no children yet) or a replaced rep. Active leader only;
+    /// cost is O(fanout).
     fn push_neighbourhood(
         &mut self,
         lgid: LargeGroupId,
@@ -146,31 +157,19 @@ impl<B: LargeApp> HierApp<B> {
         let Some(r) = self.leaders.get(&lgid) else {
             return;
         };
-        let Some(idx) = r.view.index_of(leaf) else {
+        let v = &r.view;
+        let Some(idx) = v.index_of(leaf) else {
             return;
         };
-        let mut targets: Vec<Pid> = Vec::new();
-        let mut add = |i: usize, r: &LeaderReplica| {
-            if let Some(rep) = r.view.leaves.get(i).and_then(LeafDesc::rep) {
-                if !targets.contains(&rep) {
-                    targets.push(rep);
-                }
-            }
-        };
-        add(idx, r);
-        if let Some(p) = r.view.parent(idx) {
-            add(p, r);
-        }
-        for c in r.view.children(idx) {
-            add(c, r);
-        }
-        let view = r.view.clone();
-        let me = up.me();
+        let pushes: Vec<(Pid, RoutingSlice)> = std::iter::once(idx)
+            .chain(v.parent(idx))
+            .chain(v.children(idx))
+            .filter_map(|i| v.leaves[i].rep().map(|rep| (rep, v.slice_for(i))))
+            .collect();
         up.bump("hier.push_neighbourhood");
-        for t in targets {
-            if t != me {
-                up.direct(t, HierPayload::Ctl(CtlMsg::HierPush { view: view.clone(), propagate: false }));
-            }
+        for (to, slice) in pushes {
+            let slice = Box::new(slice);
+            self.send_push(to, CtlMsg::SlicePush { slice }, up);
         }
     }
 
@@ -238,6 +237,7 @@ impl<B: LargeApp> HierApp<B> {
             | CtlMsg::JoinCreateLeaf { .. }
             | CtlMsg::JoinLargeDenied { .. }
             | CtlMsg::HierPush { .. }
+            | CtlMsg::SlicePush { .. }
             | CtlMsg::SplitLeaf { .. }
             | CtlMsg::DoSplit { .. }
             | CtlMsg::DissolveLeaf { .. }
@@ -297,7 +297,9 @@ impl<B: LargeApp> HierApp<B> {
                         HierPayload::Ctl(CtlMsg::JoinCreateLeaf { lgid, leaf: gid }),
                     );
                     self.root_beacons.entry(lgid).or_insert_with(|| up.now());
-                    self.push_structure(lgid, up);
+                    // Appended at the end: only the new leaf's and its
+                    // parent's slices change.
+                    self.push_neighbourhood(lgid, gid, up);
                 }
             }
             LeaderCmd::Contacts {
@@ -310,18 +312,15 @@ impl<B: LargeApp> HierApp<B> {
                     self.leader_apply(LeaderCmd::LeafDead { lgid, leaf }, up);
                     return;
                 }
-                let mut push_epoch = false;
-                let mut rep_changed = false;
-                if let Some(d) = r.leaf_mut(leaf) {
-                    // A representative change is re-announced only to the
-                    // leaf's tree *neighbourhood* (parent + children + the
-                    // leaf itself): nobody else references its contacts,
-                    // so the cost stays O(fanout) however large the group.
-                    if d.contacts.first() != contacts.first() {
-                        rep_changed = true;
-                    }
+                // A representative change or a graft is announced only to
+                // the leaf's tree *neighbourhood* (parent + children + the
+                // leaf itself): nobody else references its contacts, so the
+                // cost stays O(fanout) however large the group.
+                let announce = if let Some(d) = r.leaf_mut(leaf) {
+                    let rep_changed = d.contacts.first() != contacts.first();
                     d.contacts = contacts.clone();
                     d.size = size;
+                    rep_changed
                 } else {
                     // An unknown but live leaf reported in: graft it. This
                     // covers both the first report of a split's new leaf
@@ -334,8 +333,8 @@ impl<B: LargeApp> HierApp<B> {
                         size,
                     });
                     r.view.epoch += 1;
-                    push_epoch = true;
-                }
+                    true
+                };
                 // Clear a completed dissolve source / resolved pending op.
                 if let Some(op) = r.pending.get(&leaf).copied() {
                     let resolved = match op {
@@ -376,13 +375,10 @@ impl<B: LargeApp> HierApp<B> {
                             );
                         }
                     }
-                    // Routing freshness is handled by epoch pushes and
-                    // the rep-change neighbourhood push below; answering
-                    // every periodic contacts refresh with a push would
-                    // give the leader O(#leaves) fanout for no benefit.
-                    if push_epoch {
-                        self.push_structure(lgid, up);
-                    } else if rep_changed {
+                    // Answering every periodic contacts refresh with a
+                    // push would give the leader O(#leaves) fanout for no
+                    // benefit; only a graft or a new rep is announced.
+                    if announce {
                         self.push_neighbourhood(lgid, leaf, up);
                     }
                 }

@@ -1012,7 +1012,8 @@ impl<B: LargeApp> Application for HierApp<B> {
                 48 + B::payload_bytes(payload)
             }
             HierPayload::Tree(_) => 32,
-            HierPayload::Ctl(CtlMsg::HierPush { view: v, .. }) => 16 + v.storage_bytes(),
+            HierPayload::Ctl(CtlMsg::HierPush { view }) => 16 + view.storage_bytes(),
+            HierPayload::Ctl(CtlMsg::SlicePush { slice }) => 16 + slice.storage_bytes(),
             HierPayload::Ctl(_) => 48,
             HierPayload::Cmd(_) => 64,
         }
@@ -1028,16 +1029,9 @@ impl<B: LargeApp> Application for HierApp<B> {
 }
 
 impl<B: LargeApp> HierApp<B> {
-    /// Debug helper: `(epoch, my_index, parent_gid, parent_rep)` of this
-    /// process's routing slice, if it is a representative.
-    pub fn debug_slice(&self, lgid: LargeGroupId) -> Option<(u64, usize, Option<u64>, Option<Pid>)> {
-        let r = self.reps.get(&lgid)?;
-        let s = r.slice.as_ref();
-        Some((
-            s.map_or(0, |s| s.epoch),
-            s.map_or(usize::MAX, |s| s.my_index),
-            s.and_then(|s| s.parent.as_ref().map(|p| p.gid.0 & 0xffff)),
-            r.parent_rep,
-        ))
+    /// The routing slice this process holds as the representative of a
+    /// leaf of `lgid`, if it is one and has received a slice.
+    pub fn routing_slice(&self, lgid: LargeGroupId) -> Option<&crate::view::RoutingSlice> {
+        self.reps.get(&lgid)?.slice.as_ref()
     }
 }

@@ -4,12 +4,14 @@
 //! travels either as a direct point-to-point payload or inside an intra-
 //! group broadcast of a leaf or leader group.
 
+use std::sync::Arc;
+
 use now_sim::Pid;
 
 use isis_core::{GroupId, MsgId};
 
 use crate::ids::{LargeGroupId, LbcastId};
-use crate::view::HierView;
+use crate::view::{HierView, RoutingSlice};
 
 /// The payload type of the hierarchical layer, generic over the business
 /// payload `Q`.
@@ -114,11 +116,15 @@ pub enum CtlMsg {
     /// Parent representative → leader: a child leaf has gone silent
     /// (total leaf failure — "only the parent group is informed").
     LeafDeadReport { lgid: LargeGroupId, leaf: GroupId },
-    /// Leader → root rep → down the tree: the new structure. Each rep
-    /// stores only its own routing slice and, when `propagate` is set,
-    /// forwards the view onward; targeted refreshes clear the flag so a
-    /// contact change costs only its neighbourhood.
-    HierPush { view: HierView, propagate: bool },
+    /// Leader → root rep → down the tree: the whole structure, after a
+    /// change that renumbers the tree (a leaf removed, a leader takeover).
+    /// Each rep stores only its own routing slice and forwards the view to
+    /// its children; the `Arc` makes each forward a refcount bump.
+    HierPush { view: Arc<HierView> },
+    /// Leader → one rep: its new routing slice, after a change confined to
+    /// its tree neighbourhood (a leaf appended, a rep replaced). Boxed so
+    /// the variant does not widen every in-flight payload.
+    SlicePush { slice: Box<RoutingSlice> },
     /// Leader → leaf rep: split your leaf; the rep picks the movers (only
     /// it knows the full membership) and they found `new_leaf`.
     SplitLeaf {
@@ -278,6 +284,15 @@ mod tests {
     fn hier_state_default_is_none() {
         let s: HierState<u32> = HierState::default();
         assert!(matches!(s, HierState::None));
+    }
+
+    #[test]
+    fn structure_pushes_do_not_widen_every_payload() {
+        // Every in-flight message is a `HierPayload`, so its largest
+        // variant sets the footprint of all of them. Views and slices sit
+        // behind a pointer; 88 bytes is the footprint with a `HierView`
+        // inline, the most a push may cost (64-bit targets).
+        assert!(std::mem::size_of::<HierPayload<String>>() <= 88);
     }
 
     #[test]

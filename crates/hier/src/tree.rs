@@ -11,6 +11,7 @@
 //! acknowledged.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::Arc;
 
 use now_sim::{Pid, SimTime};
 
@@ -544,6 +545,89 @@ impl<B: LargeApp> HierApp<B> {
     // Control traffic addressed to reps (and leaders; see leader.rs)
     // ------------------------------------------------------------------
 
+    /// Installs a pushed routing slice at this rep (whose leaf it must
+    /// describe). `parent` is the sender when the slice came down the tree
+    /// from our parent rep, `None` when the leader sent it directly.
+    fn rep_install_slice(
+        &mut self,
+        slice: RoutingSlice,
+        parent: Option<Pid>,
+        up: &mut Uplink<'_, '_, Self>,
+    ) {
+        let lgid = slice.lgid;
+        let now = up.now();
+        let Some(rep) = self.reps.get_mut(&lgid) else {
+            return;
+        };
+        if slice.is_root() && !rep.is_root() {
+            // Continue the global sequence from what we have seen.
+            rep.next_lseq = rep.next_lseq.max(rep.next_expected);
+        }
+        let old_children: Vec<GroupId> = rep
+            .slice
+            .as_ref()
+            .map(|s| s.children.iter().map(|c| c.gid).collect())
+            .unwrap_or_default();
+        let mut catch_up: Vec<Pid> = Vec::new();
+        for child in &slice.children {
+            rep.child_last.entry(child.gid).or_insert(now);
+            if let Some(c) = child.rep() {
+                if !old_children.contains(&child.gid) {
+                    catch_up.push(c);
+                }
+            }
+        }
+        let is_child = |g: &GroupId| slice.children.iter().any(|c| c.gid == *g);
+        rep.reported_dead.retain(is_child);
+        rep.child_last.retain(|g, _| is_child(g));
+        // A slice from down the tree names its sender as our parent rep.
+        // The leader's direct pushes must not hijack the pointer; they only
+        // drop one that the fresh slice no longer corroborates.
+        if slice.is_root() {
+            rep.parent_rep = None;
+        } else if parent.is_some() {
+            rep.parent_rep = parent;
+        } else if let Some(pr) = rep.parent_rep {
+            let still_valid = slice
+                .parent
+                .as_ref()
+                .is_some_and(|p| p.contacts.contains(&pr));
+            if !still_valid {
+                rep.parent_rep = slice.parent.as_ref().and_then(LeafDesc::rep);
+            }
+        }
+        if let Some(ms) = self.members.get_mut(&lgid) {
+            for &c in &slice.leader_contacts {
+                if !ms.leader_contacts.contains(&c) {
+                    ms.leader_contacts.push(c);
+                }
+            }
+            ms.leader_contacts.truncate(6);
+        }
+        let epoch = slice.epoch;
+        self.slices_cache.insert(lgid, slice.clone());
+        let rep = self.reps.get_mut(&lgid).expect("rep checked above");
+        rep.slice = Some(slice);
+        // Children that just appeared under us may have missed
+        // broadcasts distributed during the structure change:
+        // re-forward the recent cache (receivers deduplicate).
+        for c in catch_up {
+            for (lseq, id, payload) in &rep.recent {
+                up.bump("hier.forward.catchup");
+                up.direct(
+                    c,
+                    HierPayload::Tree(TreeMsg::Forward {
+                        lgid,
+                        epoch,
+                        lseq: *lseq,
+                        id: *id,
+                        payload: payload.clone(),
+                    }),
+                );
+            }
+        }
+    }
+
     pub(crate) fn rep_or_leader_ctl(
         &mut self,
         from: Pid,
@@ -551,11 +635,10 @@ impl<B: LargeApp> HierApp<B> {
         up: &mut Uplink<'_, '_, Self>,
     ) {
         match msg {
-            CtlMsg::HierPush { view, propagate } => {
-                let lgid = view.lgid;
-                // Leaders ignore pushes; reps store their slice and pass
-                // the view to child reps.
-                let Some(rep) = self.reps.get_mut(&lgid) else {
+            CtlMsg::HierPush { view } => {
+                // Leaders ignore pushes; reps pass the view to child reps
+                // and keep only their own slice.
+                let Some(rep) = self.reps.get(&view.lgid) else {
                     return;
                 };
                 let Some(idx) = view.index_of(rep.leaf) else {
@@ -565,88 +648,23 @@ impl<B: LargeApp> HierApp<B> {
                     return;
                 };
                 let slice = view.slice_for(idx);
-                let became_root = slice.is_root() && !rep.is_root();
-                if became_root {
-                    // Continue the global sequence from what we have seen.
-                    rep.next_lseq = rep.next_lseq.max(rep.next_expected);
+                for c in slice.children.iter().filter_map(LeafDesc::rep) {
+                    up.direct(c, HierPayload::Ctl(CtlMsg::HierPush { view: Arc::clone(&view) }));
                 }
-                let old_children: Vec<GroupId> = rep
-                    .slice
-                    .as_ref()
-                    .map(|s| s.children.iter().map(|c| c.gid).collect())
-                    .unwrap_or_default();
-                let mut catch_up: Vec<(Pid, GroupId)> = Vec::new();
-                for child in &slice.children {
-                    rep.child_last.entry(child.gid).or_insert_with(|| up.now());
-                    if let Some(&c) = child.contacts.first() {
-                        if propagate {
-                            up.direct(
-                                c,
-                                HierPayload::Ctl(CtlMsg::HierPush {
-                                    view: view.clone(),
-                                    propagate: true,
-                                }),
-                            );
-                        }
-                        if !old_children.contains(&child.gid) {
-                            catch_up.push((c, child.gid));
-                        }
-                    }
+                // It came down the tree, so the sender is our parent rep.
+                self.rep_install_slice(slice, Some(from), up);
+            }
+            CtlMsg::SlicePush { slice } => {
+                let Some(rep) = self.reps.get(&slice.lgid) else {
+                    return;
+                };
+                if slice.my_gid != rep.leaf {
+                    // Addressed to us as the rep of a leaf we have left.
+                    up.bump("hier.push.stale");
+                    return;
                 }
-                rep.reported_dead.retain(|g| view.index_of(*g).is_some());
-                rep.child_last.retain(|g, _| slice.children.iter().any(|c| c.gid == *g));
-                let epoch = slice.epoch;
-                let lc = slice.leader_contacts.clone();
-                let slice_copy = slice.clone();
-                // Tree-propagated pushes come from our actual parent rep;
-                // targeted refreshes come from the leader and must not
-                // hijack the parent pointer. Either way, a parent pointer
-                // that the fresh slice no longer corroborates is dropped.
-                if slice.is_root() {
-                    rep.parent_rep = None;
-                } else if propagate {
-                    rep.parent_rep = Some(from);
-                } else if let Some(pr) = rep.parent_rep {
-                    let still_valid = slice
-                        .parent
-                        .as_ref()
-                        .is_some_and(|p| p.contacts.contains(&pr));
-                    if !still_valid {
-                        rep.parent_rep = slice.parent.as_ref().and_then(LeafDesc::rep);
-                    }
-                }
-                rep.slice = Some(slice);
-                if let Some(ms) = self.members.get_mut(&lgid) {
-                    for c in lc {
-                        if !ms.leader_contacts.contains(&c) {
-                            ms.leader_contacts.push(c);
-                        }
-                    }
-                    ms.leader_contacts.truncate(6);
-                }
-                self.slices_cache.insert(lgid, slice_copy);
-                let rep = self.reps.get_mut(&lgid).expect("rep checked above");
-                // Children that just appeared under us may have missed
-                // broadcasts distributed during the structure change:
-                // re-forward the recent cache (receivers deduplicate).
-                let recent: Vec<(u64, LbcastId, B::Payload)> = rep.recent.iter().cloned().collect();
-                for (c, child_gid) in catch_up {
-                    // Re-arm ack tracking so retransmission covers them.
-                    for (lseq, id, payload) in &recent {
-                        up.bump("hier.forward.catchup");
-                        up.direct(
-                            c,
-                            HierPayload::Tree(TreeMsg::Forward {
-                                lgid,
-                                epoch,
-                                lseq: *lseq,
-                                id: *id,
-                                payload: payload.clone(),
-                            }),
-                        );
-                    }
-                    let _ = child_gid;
-                }
+                // From the leader, which must not become our parent rep.
+                self.rep_install_slice(*slice, None, up);
             }
             CtlMsg::SplitLeaf {
                 lgid,

@@ -202,15 +202,23 @@ impl HierView {
 
 /// What one leaf representative stores to route tree broadcasts: bounded by
 /// `O(fanout × resiliency)` regardless of the large group's size.
+///
+/// A rep's slice is refreshed only when its own neighbourhood changes (a
+/// child appended, a neighbour's rep replaced) or the tree is renumbered,
+/// so `epoch` and `num_leaves` are as of that last refresh and may lag the
+/// leader's view. Routing never reads them; they are for observability.
+/// (The toolkit's tree-parallel tool also weighs subtrees by `num_leaves`:
+/// a stale count skews its load balance, never its coverage, since every
+/// child in the slice was counted when the slice was pushed.)
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RoutingSlice {
     /// The large group.
     pub lgid: LargeGroupId,
-    /// The epoch this slice was extracted from.
+    /// The leader's structure epoch when this slice was last pushed.
     pub epoch: u64,
     /// This leaf's index in tree order.
     pub my_index: usize,
-    /// Total number of leaves (for observability; one integer).
+    /// Number of leaves when this slice was last pushed (one integer).
     pub num_leaves: usize,
     /// Resiliency threshold of the large group.
     pub resiliency: usize,

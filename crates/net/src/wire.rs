@@ -17,6 +17,8 @@
 //! cross-checks the variants named by every `encode`/`decode` pair here
 //! against the enum definitions, and any drift fails the lint.
 
+use std::sync::Arc;
+
 use now_sim::Pid;
 
 use isis_core::{
@@ -26,7 +28,7 @@ use isis_core::{
 use isis_hier::{
     CtlMsg, HierPayload, HierState, LargeGroupId, LbcastId, LbcastStatus, LeaderCmd, TreeMsg,
 };
-use isis_hier::{HierView, LeafDesc};
+use isis_hier::{HierView, LeafDesc, RoutingSlice};
 
 use crate::codec::CodecError;
 
@@ -635,6 +637,35 @@ impl Wire for HierView {
     }
 }
 
+impl Wire for RoutingSlice {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.lgid.encode(out);
+        self.epoch.encode(out);
+        self.my_index.encode(out);
+        self.num_leaves.encode(out);
+        self.resiliency.encode(out);
+        self.fanout.encode(out);
+        self.my_gid.encode(out);
+        self.parent.encode(out);
+        self.children.encode(out);
+        self.leader_contacts.encode(out);
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
+        Ok(RoutingSlice {
+            lgid: LargeGroupId::decode(r)?,
+            epoch: r.u64()?,
+            my_index: usize::decode(r)?,
+            num_leaves: usize::decode(r)?,
+            resiliency: usize::decode(r)?,
+            fanout: usize::decode(r)?,
+            my_gid: GroupId::decode(r)?,
+            parent: Option::decode(r)?,
+            children: Vec::decode(r)?,
+            leader_contacts: Vec::decode(r)?,
+        })
+    }
+}
+
 impl<Q: Wire> Wire for TreeMsg<Q> {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
@@ -784,10 +815,9 @@ impl Wire for CtlMsg {
                 lgid.encode(out);
                 leaf.encode(out);
             }
-            CtlMsg::HierPush { view, propagate } => {
+            CtlMsg::HierPush { view } => {
                 out.push(6);
                 view.encode(out);
-                propagate.encode(out);
             }
             CtlMsg::SplitLeaf {
                 lgid,
@@ -847,6 +877,10 @@ impl Wire for CtlMsg {
                 epoch.encode(out);
                 contacts.encode(out);
             }
+            CtlMsg::SlicePush { slice } => {
+                out.push(12);
+                slice.encode(out);
+            }
         }
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
@@ -877,8 +911,7 @@ impl Wire for CtlMsg {
                 leaf: GroupId::decode(r)?,
             },
             6 => CtlMsg::HierPush {
-                view: HierView::decode(r)?,
-                propagate: bool::decode(r)?,
+                view: Arc::new(HierView::decode(r)?),
             },
             7 => CtlMsg::SplitLeaf {
                 lgid: LargeGroupId::decode(r)?,
@@ -908,6 +941,9 @@ impl Wire for CtlMsg {
                 leaf: GroupId::decode(r)?,
                 epoch: r.u64()?,
                 contacts: Vec::decode(r)?,
+            },
+            12 => CtlMsg::SlicePush {
+                slice: Box::new(RoutingSlice::decode(r)?),
             },
             t => return Err(CodecError::BadTag("ctl_msg", u64::from(t))),
         })

@@ -8,6 +8,8 @@
 //! flips, and raw garbage through both layers and require an error (or a
 //! clean "need more bytes"), never a panic or an oversized allocation.
 
+use std::sync::Arc;
+
 use now_sim::detprop::collection::vec as pvec;
 use now_sim::detprop::prelude::*;
 use now_sim::{prop_oneof, proptest};
@@ -19,7 +21,7 @@ use isis_core::{
 };
 use isis_hier::{
     CtlMsg, HierPayload, HierState, HierView, LargeGroupId, LbcastId, LbcastStatus, LeafDesc,
-    LeaderCmd, TreeMsg,
+    LeaderCmd, RoutingSlice, TreeMsg,
 };
 
 use now_net::codec::{decode_frame, encode_frame, CodecError, Frame, MAX_FRAME_BODY};
@@ -129,6 +131,34 @@ fn hier_view() -> impl Strategy<Value = HierView> + Clone {
         )
 }
 
+fn routing_slice() -> impl Strategy<Value = RoutingSlice> + Clone {
+    (
+        (any::<u32>(), any::<u64>(), any::<u64>()),
+        (0usize..64, 0usize..64, 0usize..5, 0usize..8),
+        (prop_oneof![Just(None), leaf_desc().prop_map(Some)], pvec(leaf_desc(), 0..4)),
+        pvec(pid(), 0..3),
+    )
+        .prop_map(
+            |(
+                (lgid, epoch, my_gid),
+                (my_index, num_leaves, resiliency, fanout),
+                (parent, children),
+                leader_contacts,
+            )| RoutingSlice {
+                lgid: LargeGroupId(lgid),
+                epoch,
+                my_index,
+                num_leaves,
+                resiliency,
+                fanout,
+                my_gid: GroupId(my_gid),
+                parent,
+                children,
+                leader_contacts,
+            },
+        )
+}
+
 fn tree_msg() -> impl Strategy<Value = TreeMsg<String>> + Clone {
     let lgid = || any::<u32>().prop_map(LargeGroupId);
     prop_oneof![
@@ -194,8 +224,8 @@ fn ctl_msg() -> impl Strategy<Value = CtlMsg> + Clone {
                 size
             }
         ),
-        (hier_view(), any::<bool>())
-            .prop_map(|(view, propagate)| CtlMsg::HierPush { view, propagate }),
+        hier_view().prop_map(|view| CtlMsg::HierPush { view: Arc::new(view) }),
+        routing_slice().prop_map(|slice| CtlMsg::SlicePush { slice: Box::new(slice) }),
         (lgid(), gid(), pvec(pid(), 0..4), pvec(pid(), 0..3)).prop_map(
             |(lgid, new_leaf, movers, leader_contacts)| CtlMsg::DoSplit {
                 lgid,

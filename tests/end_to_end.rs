@@ -120,7 +120,7 @@ fn transport_refactor_digests_are_stable() {
             st.bytes_sent,
             h.sim.now().as_micros(),
         ),
-        (15451, 15451, 793192, 30011296),
+        (15445, 15445, 792012, 30011264),
         "hierarchy digest drifted: engine/transport behavior changed"
     );
 }
