@@ -3,16 +3,15 @@
 #   1. release build of the whole workspace,
 #   2. full test suite (includes detlint's self-check, the determinism
 #      regression tests and the tracer on/off byte-identity proof),
-#   3. monitor-armed quick experiment sweep: every experiment runs with the
+#   3. clippy over every target with warnings denied,
+#   4. monitor-armed quick experiment sweep: every experiment runs with the
 #      online virtual-synchrony invariant monitors in panic mode, so any
 #      violation anywhere in the stack fails the gate; its tables (everything
 #      above the `sweep wall-clock` line) must match
 #      tests/golden/experiments_quick.txt byte for byte,
-#   4. the benchmark crate (`perf/`, a workspace of its own that path-depends
+#   5. the benchmark crate (`perf/`, a workspace of its own that path-depends
 #      on these crates): its tests, then every workload in smoke mode —
 #      gated on the output oracles only, never on its times,
-#   5. microbench regression gate: the sweep's fresh hot-path minima must
-#      stay within 2x of the committed BENCH_results.json baseline,
 #   6. trace demo + Chrome export artifacts (tracectl smoke test),
 #   7. now-cluster loopback smoke: the real-socket backend boots an 8-process
 #      hierarchy over unix sockets, replays short E1/E9 runs, and the merged
@@ -34,14 +33,14 @@ cd "$(dirname "$0")"
 
 mkdir -p BENCH_artifacts
 
-# Snapshot the committed baseline before the sweep overwrites it.
-cp BENCH_results.json BENCH_artifacts/baseline.json
-
 echo "==> cargo build --release"
 cargo build --release
 
 echo "==> cargo test -q"
 cargo test -q
+
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> QUICK=1 NOW_MONITORS=1 all_experiments (invariant monitors armed)"
 QUICK=1 NOW_MONITORS=1 cargo run --quiet --release -p isis-bench --bin all_experiments \
@@ -56,10 +55,6 @@ echo "==> perf/: tests + every workload in smoke mode (output oracles only)"
 # workload reports "correct": false; its timings are never read here.
 cargo test --release --quiet --manifest-path perf/Cargo.toml
 perf/run.sh --quick
-
-echo "==> bench_gate (hot-path minima vs committed baseline)"
-cargo run --quiet --release -p isis-bench --bin bench_gate -- \
-    BENCH_artifacts/baseline.json BENCH_results.json
 
 echo "==> trace demo + tracectl export"
 cargo run --quiet --release -p isis-bench --bin trace_demo

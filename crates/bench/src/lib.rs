@@ -4,10 +4,8 @@
 //! `all_experiments` prints every table, or just the ids it is given;
 //! `QUICK=1` shrinks the sweeps.
 
-pub mod enginebench;
 pub mod experiments;
 pub mod harness;
-pub mod microbench;
 pub mod par_sweep;
 pub mod report;
 

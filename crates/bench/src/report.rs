@@ -90,45 +90,6 @@ impl Table {
     pub fn print(&self) {
         println!("{}", self.render());
     }
-
-    /// Renders the table as a JSON object — the machine-readable twin of
-    /// [`Table::render`], collected into `BENCH_results.json`.
-    pub fn to_json(&self) -> String {
-        let arr = |items: &[String]| {
-            let cells: Vec<String> = items.iter().map(|s| json_escape(s)).collect();
-            format!("[{}]", cells.join(", "))
-        };
-        let rows: Vec<String> = self.rows.iter().map(|r| arr(r)).collect();
-        format!(
-            "{{\"id\": {}, \"title\": {}, \"headers\": {}, \"rows\": [{}], \"notes\": {}}}",
-            json_escape(self.id),
-            json_escape(&self.title),
-            arr(&self.headers),
-            rows.join(", "),
-            arr(&self.notes)
-        )
-    }
-}
-
-/// Escapes `s` as a JSON string literal, quotes included.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Formats a float compactly.
@@ -184,17 +145,5 @@ mod tests {
         assert_eq!(f(12345.6), "12346");
         assert_eq!(f(4.56789), "4.57");
         assert_eq!(f(0.01234), "0.0123");
-    }
-
-    #[test]
-    fn json_rendering_escapes_and_structures() {
-        let mut t = Table::new("E0", "demo \"quoted\"", &["n", "msgs"]);
-        t.row(vec!["8".into(), "16".into()]);
-        t.note("line\nbreak");
-        let j = t.to_json();
-        assert!(j.contains("\"id\": \"E0\""));
-        assert!(j.contains("demo \\\"quoted\\\""));
-        assert!(j.contains("[\"8\", \"16\"]"));
-        assert!(j.contains("line\\nbreak"));
     }
 }

@@ -138,9 +138,15 @@ fn e8_fanout_bound_holds() {
             max_dests <= bound,
             "row {row:?}: destinations {max_dests} exceed bound {bound}"
         );
-        // Everything delivered: total messages at least n (one per member).
+        // Everything delivered: total messages at least n (one per member),
+        // and no more than about two per member.
         let n: f64 = row[t.col("n")].parse().unwrap();
-        assert!(t.f64(i, "total_msgs") >= n);
+        let total = t.f64(i, "total_msgs");
+        assert!(total >= n);
+        assert!(
+            total <= 2.0 * n + 16.0,
+            "row {row:?}: {total} msgs exceed 2n + 16"
+        );
     }
 }
 

@@ -837,7 +837,7 @@ impl RepState {
     #[test]
     fn r2_does_not_apply_outside_protocol_crates() {
         let src = "use std::time::Instant;\nfn t() { let _ = Instant::now(); }\n";
-        assert!(lint_source("crates/bench/src/microbench.rs", src).is_empty());
+        assert!(lint_source("crates/bench/src/bin/all_experiments.rs", src).is_empty());
     }
 
     #[test]

@@ -745,7 +745,15 @@ impl<B: LargeApp> HierApp<B> {
                         }
                     }
                 }
-                if self.leaders.contains_key(&lgid) {
+                // Only the root leaf's beacon proves the root alive: a
+                // slice-less rep also beacons the leader, and must not mask
+                // a dead root.
+                let from_root = self
+                    .leaders
+                    .get(&lgid)
+                    .and_then(|r| r.view.root())
+                    .is_some_and(|l| l.gid == leaf);
+                if from_root {
                     self.root_beacons.insert(lgid, up.now());
                 }
             }

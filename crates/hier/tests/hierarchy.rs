@@ -2,9 +2,10 @@
 //! broadcast semantics, failure scoping, split/merge, leader failover, and
 //! the paper's structural bounds.
 
+use isis_core::IsisMsg;
 use isis_hier::config::LargeGroupConfig;
 use isis_hier::harness::{large_cluster, large_cluster_lan, LargeCluster};
-use isis_hier::msg::LbcastStatus;
+use isis_hier::msg::{CtlMsg, HierPayload, LbcastStatus};
 use now_sim::{Pid, SimDuration};
 
 fn settle(c: &mut LargeCluster, secs: u64) {
@@ -284,6 +285,40 @@ fn total_leaf_failure_repairs_the_tree() {
             "survivor {m} missed the broadcast"
         );
     }
+}
+
+#[test]
+fn beacons_from_a_non_root_leaf_do_not_keep_a_dead_root_alive() {
+    let mut c = large_cluster(24, LargeGroupConfig::new(3, 3), 31);
+    settle(&mut c, 5);
+    let v = c.leader_hier_view().unwrap().clone();
+    assert!(v.num_leaves() >= 2);
+    let root_leaf = v.root().unwrap().gid;
+    let other = v.leaves[1].clone();
+    for m in c.members.clone() {
+        if c.sim.process(m).app().leaf_of(c.lgid) == Some(root_leaf) {
+            c.sim.crash(m);
+        }
+    }
+    let detected = |c: &LargeCluster| c.sim.stats().counter("hier.root_dead_detected");
+    let before = detected(&c);
+    // A slice-less rep beacons the leader directly; stand in for one with
+    // a steady stream of another leaf's beacons.
+    for _ in 0..100 {
+        let beacon = CtlMsg::LeafBeacon {
+            lgid: c.lgid,
+            leaf: other.gid,
+            epoch: v.epoch,
+            contacts: other.contacts.clone(),
+        };
+        c.sim
+            .inject(c.leaders[0], IsisMsg::Direct(HierPayload::Ctl(beacon)));
+        c.run_for(SimDuration::from_millis(100));
+    }
+    assert!(
+        detected(&c) > before,
+        "a non-root leaf's beacons masked the dead root"
+    );
 }
 
 #[test]

@@ -204,11 +204,6 @@ impl LeafServiceApp {
             .is_some_and(|v| v.coordinator() == me)
     }
 
-    /// Number of logged-but-incomplete requests at this member.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
     // ------------------------------------------------------------------
     // Client API (routing through a directory)
     // ------------------------------------------------------------------
