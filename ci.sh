@@ -23,8 +23,9 @@
 #      monitors — including VS-REJOIN — armed as oracles — any violation
 #      fails the gate; its printed lines (all but the `census written to`
 #      line, which names the file) must match
-#      tests/golden/chaos_sweep_1000_seed1.txt byte for byte; the coverage
-#      census lands in artifacts,
+#      tests/golden/chaos_sweep_1000_seed1.txt byte for byte, and the
+#      coverage census it writes to artifacts must be byte-identical
+#      (`cmp`) to tests/golden/chaos_census_1000_seed1.json,
 #   9. the determinism linter, emitting its machine-readable report.
 # Fails on the first broken step or on any non-allowlisted lint finding.
 # Artifacts land in BENCH_artifacts/.
@@ -72,6 +73,8 @@ cargo run --quiet --release -p now-chaos --bin chaos_sweep -- \
 echo "==> chaos lines vs tests/golden/chaos_sweep_1000_seed1.txt"
 grep -v '^census written to ' BENCH_artifacts/chaos_sweep.txt \
     | diff -u tests/golden/chaos_sweep_1000_seed1.txt -
+echo "==> chaos census vs tests/golden/chaos_census_1000_seed1.json"
+cmp tests/golden/chaos_census_1000_seed1.json BENCH_artifacts/chaos_census.json
 
 echo "==> cargo run -p detlint -- --json"
 cargo run --quiet -p detlint -- --json | tee BENCH_artifacts/detlint.json

@@ -59,7 +59,8 @@ fn main() {
         Ok(r) => {
             println!("formation: {} ms", r.formation_ms);
             println!(
-                "E1 cast latency: {}/{} rounds, p50 {} us, p99 {} us, max {} us",
+                "E1 cast latency (trace: submit to last delivery): {}/{} rounds, \
+                 p50 {} us, p99 {} us, max {} us",
                 r.e1.completed, r.e1.rounds, r.e1.p50_us, r.e1.p99_us, r.e1.max_us
             );
             println!(

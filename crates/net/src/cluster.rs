@@ -8,8 +8,8 @@
 //! wire:
 //!
 //! - **E1 replay** — cast/abcast latency: rounds of large-group broadcasts
-//!   from rotating senders, each timed from submission until every member
-//!   has delivered it;
+//!   from rotating senders, each timed in the merged trace from its
+//!   `LbcastSubmit` to the last member's `LbcastDeliver`;
 //! - **E9 replay** — the trading room: a quote feed streams symbol quotes
 //!   through the hierarchy at a fixed rate and the report gives the
 //!   delivery ratio across all analysts plus the post-feed drain time.
@@ -24,12 +24,12 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use now_sim::trace::{Monitors, TraceEvent, Tracer};
+use now_sim::trace::{EventKind, Monitors, TraceEvent, Tracer};
 use now_sim::Pid;
 
 use isis_core::{IsisConfig, IsisProcess};
 use isis_hier::harness::RecorderBiz;
-use isis_hier::{HierApp, LargeGroupConfig, LargeGroupId};
+use isis_hier::{HierApp, LargeGroupConfig, LargeGroupId, LbcastId};
 
 use crate::daemon::{Addr, Daemon, DaemonConfig};
 
@@ -88,12 +88,14 @@ impl ClusterConfig {
     }
 }
 
-/// Latency percentiles over a set of completed rounds, in microseconds.
+/// Latency percentiles over a set of completed rounds, in microseconds,
+/// each round measured in the merged trace from submission to the last
+/// member's delivery.
 #[derive(Clone, Debug, Default)]
 pub struct LatencyStats {
     /// Rounds attempted.
     pub rounds: usize,
-    /// Rounds where every member delivered before the deadline.
+    /// Rounds with a traced submission and delivery.
     pub completed: usize,
     /// Median completion latency (µs).
     pub p50_us: u64,
@@ -312,9 +314,9 @@ pub fn run(cfg: &ClusterConfig) -> Result<ClusterReport, String> {
     let report = (|| {
         form(&cluster, cfg)?;
         let formation_ms = epoch.elapsed().as_millis() as u64;
-        let e1 = replay_e1(&cluster, cfg.e1_rounds)?;
+        let e1_ids = replay_e1(&cluster, cfg.e1_rounds)?;
         let e9 = replay_e9(&cluster, cfg.e9_quotes, cfg.e9_rate)?;
-        Ok::<_, String>((formation_ms, e1, e9))
+        Ok::<_, String>((formation_ms, e1_ids, e9))
     })();
 
     // Tear down and collect traces even when a phase failed, so sockets
@@ -333,8 +335,11 @@ pub fn run(cfg: &ClusterConfig) -> Result<ClusterReport, String> {
         d.shutdown();
     }
 
-    let (formation_ms, e1, e9) = report?;
-    let (events, violations) = check_merged_trace(tracers);
+    let (formation_ms, e1_ids, e9) = report?;
+    let merged = merge_traces(tracers);
+    let e1 = LatencyStats::from_samples(cfg.e1_rounds, lbcast_latencies(&merged, lgid, &e1_ids));
+    let mut monitors = Monitors::new();
+    let violations = merged.iter().map(|ev| monitors.observe(ev).len()).sum();
 
     Ok(ClusterReport {
         members: cfg.members,
@@ -343,7 +348,7 @@ pub fn run(cfg: &ClusterConfig) -> Result<ClusterReport, String> {
         e1,
         e9,
         messages_sent,
-        events,
+        events: merged.len(),
         violations,
     })
 }
@@ -411,20 +416,23 @@ fn form(cluster: &Cluster, cfg: &ClusterConfig) -> Result<(), String> {
     Ok(())
 }
 
-/// E1 replay: timed rounds of large-group broadcasts.
-fn replay_e1(cluster: &Cluster, rounds: usize) -> Result<LatencyStats, String> {
+/// E1 replay: rounds of large-group broadcasts, one at a time. Returns the
+/// broadcast ids; their latencies are read from the merged trace, since
+/// the poll here only gates each round's completion.
+fn replay_e1(cluster: &Cluster, rounds: usize) -> Result<Vec<LbcastId>, String> {
     let lgid = cluster.lgid;
-    let mut samples = Vec::new();
+    let mut ids = Vec::new();
     for i in 0..rounds {
         let sender = cluster.members[i % cluster.members.len()];
         let payload = format!("e1:{i}");
-        let started = Instant::now();
         let pl = payload.clone();
-        cluster.daemon_of(sender).invoke(sender, move |p, ctx| {
-            p.with_app(ctx, move |app, up| {
-                app.lbcast(lgid, pl, up);
-            });
-        });
+        let id = cluster
+            .daemon_of(sender)
+            .invoke(sender, move |p, ctx| {
+                p.with_app(ctx, move |app, up| app.lbcast(lgid, pl, up))
+            })
+            .flatten()
+            .ok_or_else(|| format!("E1 round {i}: {sender} cannot broadcast"))?;
         let members = cluster.members.clone();
         let done = cluster.wait_for(Duration::from_secs(15), |c| {
             let pl = payload.clone();
@@ -435,9 +443,29 @@ fn replay_e1(cluster: &Cluster, rounds: usize) -> Result<LatencyStats, String> {
         if !done {
             return Err(format!("E1 round {i} never completed"));
         }
-        samples.push(started.elapsed().as_micros() as u64);
+        ids.push(id);
     }
-    Ok(LatencyStats::from_samples(rounds, samples))
+    Ok(ids)
+}
+
+/// The latency of each broadcast in `ids`, in µs: the last `LbcastDeliver`
+/// minus the `LbcastSubmit` of its `(origin, lseq)` in `lgid`. A broadcast
+/// missing either end in `events` yields no sample.
+fn lbcast_latencies(events: &[TraceEvent], lgid: LargeGroupId, ids: &[LbcastId]) -> Vec<u64> {
+    let of = |id: &LbcastId, submit: bool| {
+        let key = (u64::from(lgid.0), id.origin.0, id.seq);
+        events.iter().filter(move |e| match e.kind {
+            EventKind::LbcastSubmit { lgid, origin, lseq } => submit && (lgid, origin, lseq) == key,
+            EventKind::LbcastDeliver { lgid, origin, lseq } => !submit && (lgid, origin, lseq) == key,
+            _ => false,
+        })
+    };
+    ids.iter()
+        .filter_map(|id| {
+            let submit = of(id, true).next()?.at;
+            Some(of(id, false).map(|e| e.at).max()?.saturating_sub(submit))
+        })
+        .collect()
 }
 
 /// E9 replay: the trading-room quote stream.
@@ -501,21 +529,45 @@ fn replay_e9(cluster: &Cluster, quotes: usize, rate: u32) -> Result<E9Report, St
     Ok(report)
 }
 
-/// Merges the per-daemon event logs on the shared clock and replays them
-/// through a fresh monitor set. Returns (events, violations).
-fn check_merged_trace(tracers: Vec<Tracer>) -> (usize, usize) {
-    let mut merged: Vec<(u64, usize, TraceEvent)> = Vec::new();
+/// Merges the per-daemon event logs on the shared clock (ties broken by
+/// daemon, then by seq).
+fn merge_traces(tracers: Vec<Tracer>) -> Vec<TraceEvent> {
+    let mut merged: Vec<(usize, TraceEvent)> = Vec::new();
     for (d, tr) in tracers.into_iter().enumerate() {
-        for ev in tr.events() {
-            merged.push((ev.at, d, ev));
-        }
+        merged.extend(tr.events().into_iter().map(|ev| (d, ev)));
     }
-    merged.sort_by_key(|a| (a.0, a.1, a.2.seq));
-    let mut monitors = Monitors::new();
-    let mut violations = 0usize;
-    let n = merged.len();
-    for (_, _, ev) in &merged {
-        violations += monitors.observe(ev).len();
+    merged.sort_by_key(|(d, ev)| (ev.at, *d, ev.seq));
+    merged.into_iter().map(|(_, ev)| ev).collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn e1_latency_runs_from_submit_to_the_last_delivery() {
+        let (a, b) = (LbcastId { origin: Pid(4), seq: 1 }, LbcastId { origin: Pid(5), seq: 1 });
+        let ev = |at, pid, id: &LbcastId, lgid, submit| {
+            let (origin, lseq) = (id.origin.0, id.seq);
+            let kind = match submit {
+                true => EventKind::LbcastSubmit { lgid, origin, lseq },
+                false => EventKind::LbcastDeliver { lgid, origin, lseq },
+            };
+            TraceEvent { seq: at, at, pid, cause: None, kind }
+        };
+        let events = vec![
+            ev(100, 4, &a, 1, true),
+            ev(130, 6, &a, 1, false),
+            ev(140, 5, &b, 1, true),
+            ev(170, 7, &a, 1, false), // a's last delivery
+            ev(150, 6, &b, 1, false),
+            ev(900, 7, &b, 2, false), // another large group: ignored
+            ev(160, 7, &b, 1, false), // b's last delivery, out of time order
+        ];
+        let lg = LargeGroupId(1);
+        assert_eq!(lbcast_latencies(&events, lg, &[a, b]), vec![70, 20]);
+        // A broadcast that never reached the trace yields no sample.
+        let lost = LbcastId { origin: Pid(4), seq: 2 };
+        assert_eq!(lbcast_latencies(&events, lg, &[lost, a]), vec![70]);
     }
-    (n, violations)
 }

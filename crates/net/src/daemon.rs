@@ -3,10 +3,10 @@
 //!
 //! One daemon is a small thread ensemble around a single-threaded core:
 //!
-//! - the **core thread** owns every hosted process, the [`Endpoint`], the
-//!   timer wheel, and the routing table. All protocol callbacks run here,
-//!   so a process never sees concurrency — exactly the execution model the
-//!   sim provides, minus determinism;
+//! - the **core thread** owns the [`Endpoint`] that hosts every process
+//!   here, the timer map, and the routing table. All protocol callbacks run
+//!   here, so a process never sees concurrency — exactly the execution
+//!   model the sim provides, minus determinism;
 //! - an **accept thread** takes inbound connections and hands each to a
 //!   **reader thread**, which reassembles frames, enforces the session's
 //!   monotonic wire sequence, decodes payloads, and forwards them to the
@@ -21,14 +21,16 @@
 //! so cross-thread mutable state cannot flow outside the channels and
 //! declared atomics you see in this file.
 //!
-//! The core implements [`Transport`]: a `Send` to a pid hosted here is a
-//! local queue push; a `Send` to a remote pid is one encoded frame on the
-//! destination daemon's writer channel. Timers are a `BTreeMap` keyed by
-//! wall-clock deadline, fired by the core between channel receives. The
-//! clock is microseconds since a cluster-wide `Instant` epoch shared by
-//! every daemon of a run, so merged trace timelines are comparable.
+//! The core hosts processes through the same [`Endpoint`] as the simulator,
+//! which books every send, delivery, drop, timer and halt; the core only
+//! carries messages. A `Send` to a pid hosted here is a local queue push; a
+//! `Send` to a remote pid is one encoded frame on the destination daemon's
+//! writer channel. Timers are a `BTreeMap` keyed by wall-clock deadline,
+//! fired by the core between channel receives. The clock is microseconds
+//! since a cluster-wide `Instant` epoch shared by every daemon of a run, so
+//! merged trace timelines are comparable.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -40,7 +42,7 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use now_sim::trace::EventKind as TraceKind;
-use now_sim::{dispatch, Action, Ctx, Endpoint, Pid, Process, SimTime, TimerId, Transport};
+use now_sim::{Action, Ctx, Endpoint, NodeId, Pid, Process, SimTime, TimerFate, TimerId};
 
 use crate::codec::{encode_frame, Frame, FrameBuf};
 use crate::wire::{decode_msg, encode_msg, Wire};
@@ -114,8 +116,9 @@ pub struct DaemonConfig {
     /// Cluster-wide clock epoch; all daemons of a run share one `Instant`
     /// so their microsecond timestamps are mutually comparable.
     pub epoch: Instant,
-    /// Seed for the endpoint's deterministic RNG stream (protocol-level
-    /// random choices stay seeded even on the real backend).
+    /// Seed for the endpoint's deterministic RNG streams, one per hosted
+    /// pid (protocol-level random choices stay seeded even on the real
+    /// backend).
     pub seed: u64,
 }
 
@@ -132,25 +135,26 @@ enum Incoming<P: Process> {
     Shutdown,
 }
 
-/// The single-threaded heart of a daemon: hosted processes, endpoint,
-/// timers, routing. Lives on the core thread; reachable from outside only
-/// through [`Daemon::with_core`] closures.
+/// The single-threaded heart of a daemon: the [`Endpoint`] hosting every
+/// process here, plus what only a socket backend has — routing, writer
+/// channels and a wall-clock timer map. Lives on the core thread; reachable
+/// from outside only through [`Daemon::with_core`] closures.
 pub struct DaemonCore<P: Process> {
     index: u32,
     epoch: Instant,
     routing: Arc<Vec<u32>>,
-    procs: BTreeMap<u32, P>,
-    ep: Endpoint<P::Msg>,
+    ep: Endpoint<P>,
     /// Per-peer outgoing frame channels (None at our own slot).
     peers: Vec<Option<Sender<Vec<u8>>>>,
     /// Next outgoing wire seq per peer session.
     peer_seq: Vec<u64>,
-    /// Armed timers: (deadline µs, timer id) → (owner pid, kind).
-    timers: BTreeMap<(u64, u64), (Pid, u32)>,
-    /// timer id → deadline µs, for O(log n) cancellation.
-    armed: HashMap<u64, u64>,
-    /// Same-daemon deliveries awaiting the next loop turn.
-    local_q: VecDeque<(Pid, Pid, P::Msg, Option<u64>)>,
+    /// Timers by deadline: (deadline µs, timer id) → (owner pid, kind,
+    /// owner incarnation). Cancelled entries stay until their deadline,
+    /// when [`Endpoint::fire`] judges them.
+    timers: BTreeMap<(u64, u64), (Pid, u32, u32)>,
+    /// Same-daemon deliveries awaiting the next loop turn:
+    /// (from, to, message, wire id, destination incarnation).
+    local_q: VecDeque<(Pid, Pid, P::Msg, u64, u32)>,
 }
 
 impl<P: Process> DaemonCore<P>
@@ -166,89 +170,79 @@ where
         }
     }
 
-    /// This daemon's index in the cluster.
-    pub fn index(&self) -> u32 {
-        self.index
-    }
-
     /// The hosted process for `pid`, if alive here.
     pub fn proc(&self, pid: Pid) -> Option<&P> {
-        self.procs.get(&pid.0)
+        self.ep.process(pid).filter(|_| self.ep.is_alive(pid))
     }
 
-    /// Pids hosted (and still alive) on this daemon.
-    pub fn pids(&self) -> Vec<Pid> {
-        self.procs.keys().map(|&p| Pid(p)).collect()
-    }
-
-    /// The shared process-hosting runtime (stats, observations, tracer).
-    pub fn endpoint(&self) -> &Endpoint<P::Msg> {
+    /// The process host (stats, observations, tracer).
+    pub fn endpoint(&self) -> &Endpoint<P> {
         &self.ep
     }
 
     /// Mutable endpoint access (attach/extract tracers, reset stats).
-    pub fn endpoint_mut(&mut self) -> &mut Endpoint<P::Msg> {
+    pub fn endpoint_mut(&mut self) -> &mut Endpoint<P> {
         &mut self.ep
-    }
-
-    /// Hosts a new process: records the spawn and runs `on_start`.
-    fn spawn_proc(&mut self, pid: Pid, proc_: P) {
-        self.refresh_clock();
-        self.procs.insert(pid.0, proc_);
-        self.ep.stats_mut().ensure_proc(pid);
-        if self.ep.tracing() {
-            self.ep
-                .trace(pid, None, TraceKind::Spawn { node: self.index });
-        }
-        let (_, mut actions) = {
-            let DaemonCore { procs, ep, .. } = self;
-            let Some(p) = procs.get_mut(&pid.0) else {
-                return;
-            };
-            ep.run(pid, 0, None, |ctx| p.on_start(ctx))
-        };
-        dispatch(self, pid, &mut actions, None);
-        self.ep.give_back(actions);
     }
 
     /// Runs `f` against the hosted process `pid` under a live [`Ctx`],
     /// applying its buffered effects — the daemon-side mirror of
-    /// `Sim::invoke`. Returns `None` when `pid` is not hosted here.
+    /// `Sim::invoke`. Returns `None` when `pid` is not alive here.
     pub fn invoke<R>(
         &mut self,
         pid: Pid,
         f: impl FnOnce(&mut P, &mut Ctx<'_, P::Msg>) -> R,
     ) -> Option<R> {
         self.refresh_clock();
-        let (r, mut actions) = {
-            let DaemonCore { procs, ep, .. } = self;
-            let p = procs.get_mut(&pid.0)?;
-            ep.run(pid, 0, None, |ctx| f(p, ctx))
-        };
-        dispatch(self, pid, &mut actions, None);
-        self.ep.give_back(actions);
+        let r = self.call(pid, None, f);
         self.drain_local();
+        r
+    }
+
+    /// Runs one callback through the endpoint and applies its actions.
+    fn call<R>(
+        &mut self,
+        pid: Pid,
+        cause: Option<u64>,
+        f: impl FnOnce(&mut P, &mut Ctx<'_, P::Msg>) -> R,
+    ) -> Option<R> {
+        let (r, mut actions) = self.ep.run(pid, cause, f)?;
+        for a in actions.drain(..) {
+            self.apply(pid, a, cause);
+        }
+        self.ep.give_back(actions);
         Some(r)
     }
 
+    /// Interprets one action emitted by `from`: a send to a pid hosted here
+    /// is a local queue push, a send to a remote pid one encoded frame on
+    /// the destination daemon's writer channel; timers go into the
+    /// wall-clock map.
+    fn apply(&mut self, from: Pid, action: Action<P::Msg>, cause: Option<u64>) {
+        match action {
+            Action::Send { to, msg } => self.send_one(from, to, msg, cause),
+            Action::Multicast { dsts, msg } => {
+                for to in dsts {
+                    self.send_one(from, to, msg.clone(), cause);
+                }
+            }
+            Action::SetTimer { id, kind, at } => {
+                let inc = self.ep.arm(from, id);
+                self.timers.insert((at.as_micros(), id.0), (from, kind, inc));
+            }
+            Action::CancelTimer(id) => self.ep.disarm(id),
+            Action::Halt => {
+                self.ep.kill(from, cause, TraceKind::Halt);
+            }
+        }
+    }
+
     fn send_one(&mut self, from: Pid, to: Pid, msg: P::Msg, cause: Option<u64>) {
-        let nbytes = P::wire_size(&msg);
-        let send_seq = if self.ep.tracing() {
-            Some(self.ep.trace(
-                from,
-                cause,
-                TraceKind::NetSend {
-                    to: to.0,
-                    bytes: nbytes as u64,
-                },
-            ))
-        } else {
-            None
-        };
-        self.ep.stats_mut().record_send(from, to, nbytes);
+        let wire = self.ep.book_send(from, to, P::wire_size(&msg), cause);
         match self.routing.get(to.0 as usize).copied() {
             Some(d) if d == self.index => {
-                self.local_q.push_back((from, to, msg, send_seq));
+                let inc = self.ep.incarnation(to);
+                self.local_q.push_back((from, to, msg, wire, inc));
             }
             Some(d) => {
                 let payload = encode_msg(&msg);
@@ -268,63 +262,28 @@ where
                     .as_ref()
                     .is_some_and(|tx| tx.send(frame).is_ok());
                 if !sent {
-                    self.drop_msg(from, to, send_seq);
+                    self.ep.book_drop(from, to, wire);
                 }
             }
-            None => self.drop_msg(from, to, send_seq),
+            None => self.ep.book_drop(from, to, wire),
         }
     }
 
-    fn drop_msg(&mut self, from: Pid, to: Pid, send_seq: Option<u64>) {
-        if self.ep.tracing() {
-            self.ep.trace(
-                from,
-                send_seq,
-                TraceKind::NetDrop {
-                    to: to.0,
-                    send: send_seq.unwrap_or(0),
-                },
-            );
-        }
-        self.ep.stats_mut().record_drop(to);
-    }
-
-    /// Delivers one message to a locally hosted pid (`send_seq` is the
-    /// local `NetSend` trace seq; `None` for messages off the wire, whose
-    /// send event lives in the origin daemon's trace).
-    fn deliver(&mut self, from: Pid, to: Pid, msg: P::Msg, send_seq: Option<u64>) {
+    /// Delivers one message to a pid hosted here, through the endpoint's
+    /// incarnation gate. `wire` is the local `NetSend` seq; 0 for a message
+    /// off the wire, whose send event lives in the origin daemon's trace.
+    fn deliver(&mut self, from: Pid, to: Pid, msg: P::Msg, wire: u64, inc: u32) {
         self.refresh_clock();
-        if !self.procs.contains_key(&to.0) {
-            self.drop_msg(from, to, send_seq);
+        if !self.ep.admit(from, to, wire, inc) {
             return;
         }
-        let dseq = if self.ep.tracing() {
-            Some(self.ep.trace(
-                to,
-                send_seq,
-                TraceKind::NetDeliver {
-                    from: from.0,
-                    send: send_seq.unwrap_or(0),
-                },
-            ))
-        } else {
-            None
-        };
-        self.ep.stats_mut().record_delivery(to);
-        let (_, mut actions) = {
-            let DaemonCore { procs, ep, .. } = self;
-            let Some(p) = procs.get_mut(&to.0) else {
-                return;
-            };
-            ep.run(to, 0, dseq, |ctx| p.on_message(from, msg, ctx))
-        };
-        dispatch(self, to, &mut actions, dseq);
-        self.ep.give_back(actions);
+        let cause = self.ep.book_delivery(from, to, wire);
+        self.call(to, cause, |p, ctx| p.on_message(from, msg, ctx));
     }
 
     fn drain_local(&mut self) {
-        while let Some((from, to, msg, seq)) = self.local_q.pop_front() {
-            self.deliver(from, to, msg, seq);
+        while let Some((from, to, msg, wire, inc)) = self.local_q.pop_front() {
+            self.deliver(from, to, msg, wire, inc);
         }
     }
 
@@ -333,38 +292,18 @@ where
         loop {
             self.refresh_clock();
             let now_us = self.ep.now().as_micros();
-            let Some((&(at, tid), &(pid, kind))) = self.timers.first_key_value() else {
+            let Some((&(at, tid), &(pid, kind, inc))) = self.timers.first_key_value() else {
                 return;
             };
             if at > now_us {
                 return;
             }
             self.timers.remove(&(at, tid));
-            self.armed.remove(&tid);
-            if !self.procs.contains_key(&pid.0) {
-                continue;
+            let id = TimerId(tid);
+            if let TimerFate::Fire(cause) = self.ep.fire(pid, id, kind, inc) {
+                self.call(pid, cause, |p, ctx| p.on_timer(id, kind, ctx));
+                self.drain_local();
             }
-            let cause = if self.ep.tracing() {
-                Some(self.ep.trace(
-                    pid,
-                    None,
-                    TraceKind::TimerFire {
-                        kind: u64::from(kind),
-                    },
-                ))
-            } else {
-                None
-            };
-            let (_, mut actions) = {
-                let DaemonCore { procs, ep, .. } = self;
-                let Some(p) = procs.get_mut(&pid.0) else {
-                    continue;
-                };
-                ep.run(pid, 0, cause, |ctx| p.on_timer(TimerId(tid), kind, ctx))
-            };
-            dispatch(self, pid, &mut actions, cause);
-            self.ep.give_back(actions);
-            self.drain_local();
         }
     }
 
@@ -381,46 +320,10 @@ where
     }
 }
 
-impl<P: Process> Transport<P::Msg> for DaemonCore<P>
-where
-    P::Msg: Wire,
-{
-    fn clock(&self) -> SimTime {
-        self.ep.now()
-    }
-
-    fn apply(&mut self, from: Pid, action: Action<P::Msg>, cause: Option<u64>) {
-        match action {
-            Action::Send { to, msg } => self.send_one(from, to, msg, cause),
-            Action::Multicast { dsts, msg } => {
-                for to in dsts {
-                    self.send_one(from, to, msg.clone(), cause);
-                }
-            }
-            Action::SetTimer { id, kind, at } => {
-                self.timers.insert((at.as_micros(), id.0), (from, kind));
-                self.armed.insert(id.0, at.as_micros());
-            }
-            Action::CancelTimer(id) => {
-                if let Some(at) = self.armed.remove(&id.0) {
-                    self.timers.remove(&(at, id.0));
-                }
-            }
-            Action::Halt => {
-                self.procs.remove(&from.0);
-                if self.ep.tracing() {
-                    self.ep.trace(from, cause, TraceKind::Halt);
-                }
-            }
-        }
-    }
-}
-
 /// Handle to a running daemon (threads + control channel). Dropping it
 /// without [`Daemon::shutdown`] aborts the threads ungracefully; prefer an
 /// explicit shutdown.
 pub struct Daemon<P: Process> {
-    index: u32,
     addr: Addr,
     tx: Sender<Incoming<P>>,
     core: Option<JoinHandle<()>>,
@@ -470,16 +373,16 @@ where
                 index,
                 epoch: cfg.epoch,
                 routing: cfg.routing,
-                procs: BTreeMap::new(),
                 ep: Endpoint::new(cfg.seed),
                 peers,
                 peer_seq: vec![0; n_daemons],
                 timers: BTreeMap::new(),
-                armed: HashMap::new(),
                 local_q: VecDeque::new(),
             };
             for (pid, p) in procs {
-                core.spawn_proc(pid, p);
+                core.refresh_clock();
+                core.ep.host(pid, NodeId(index), p);
+                core.call(pid, None, |p, ctx| p.on_start(ctx));
             }
             core.drain_local();
             loop {
@@ -488,7 +391,8 @@ where
                 let timeout = core.idle_timeout();
                 match rx.recv_timeout(timeout) {
                     Ok(Incoming::Net { from, to, msg }) => {
-                        core.deliver(from, to, msg, None);
+                        let inc = core.ep.incarnation(to);
+                        core.deliver(from, to, msg, 0, inc);
                         core.drain_local();
                     }
                     Ok(Incoming::Ctl(f)) => f(&mut core),
@@ -502,7 +406,6 @@ where
         });
 
         Ok(Daemon {
-            index,
             addr,
             tx,
             core: Some(core_thread),
@@ -510,11 +413,6 @@ where
             writers,
             shutdown,
         })
-    }
-
-    /// This daemon's index.
-    pub fn index(&self) -> u32 {
-        self.index
     }
 
     /// Runs `f` on the core thread and returns its result; `None` if the

@@ -5,9 +5,9 @@
 //! hosts many [`now_sim::Process`] instances in one OS process and speaks a
 //! length-prefixed binary codec (see [`codec`]) over unix sockets or
 //! loopback TCP to its peer daemons. The protocol crates are unchanged —
-//! they were written against [`now_sim::Transport`], and the daemon is
-//! simply a second implementation of that trait whose clock is wall time
-//! and whose message fabric is real sockets.
+//! they only ever see a [`now_sim::Ctx`], and the daemon hosts them through
+//! the same [`now_sim::Endpoint`] as the simulator; only the clock (wall
+//! time) and the message fabric (real sockets) differ.
 //!
 //! What carries over from the simulator and what does not:
 //!

@@ -20,10 +20,11 @@
 //! across invocations, multicast shares one payload `Rc` across all
 //! destinations, and the FIFO channel clock is a flat dense table.
 //!
-//! The send/deliver/timer surface lives in [`crate::transport`]: the sim is
-//! the default [`Transport`] implementation, and the process-hosting runtime
-//! (clock snapshot, RNG, stats, tracer, action buffer) is the shared
-//! [`Endpoint`] that real backends reuse unchanged.
+//! Processes are hosted by the shared [`Endpoint`] (see
+//! [`crate::transport`]), which owns the process table and books every
+//! send, delivery, drop, timer and death exactly as the socket daemon does.
+//! What is the sim's own is what carries a message: the event queue, the
+//! latency/loss model, FIFO channel clocks and partitions.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -31,39 +32,11 @@ use std::rc::Rc;
 
 use now_trace::{EventKind as TraceKind, Tracer};
 
-use crate::det_rand::{DetRng, SplitMix64};
-
 use crate::ids::{NodeId, Pid, SiteId, TimerId};
 use crate::net::{NetConfig, Partition};
 use crate::stats::{ObservationLog, Stats};
 use crate::time::{SimDuration, SimTime};
-use crate::transport::{dispatch, Action, Ctx, Endpoint, Transport};
-
-/// Behaviour of a simulated process.
-///
-/// All processes in one simulation share a message type `Msg`; layered
-/// protocols embed their payloads in it. Callbacks receive a [`Ctx`] through
-/// which every externally visible effect (sends, timers, observations) must
-/// flow — this is what makes runs reproducible and measurable.
-pub trait Process: 'static {
-    /// The message type exchanged between processes in this simulation.
-    type Msg: Clone + std::fmt::Debug + 'static;
-
-    /// Invoked once when the process is spawned.
-    fn on_start(&mut self, _ctx: &mut Ctx<'_, Self::Msg>) {}
-
-    /// Invoked when a message is delivered.
-    fn on_message(&mut self, from: Pid, msg: Self::Msg, ctx: &mut Ctx<'_, Self::Msg>);
-
-    /// Invoked when a timer set through [`Ctx::set_timer`] fires.
-    fn on_timer(&mut self, _id: TimerId, _kind: u32, _ctx: &mut Ctx<'_, Self::Msg>) {}
-
-    /// Estimated wire size in bytes of a message, for the latency model and
-    /// byte counters. The default suits small control messages.
-    fn wire_size(_msg: &Self::Msg) -> usize {
-        64
-    }
-}
+use crate::transport::{Action, Ctx, Endpoint, Process, TimerFate};
 
 /// A delivery payload: either an owned message or a multicast envelope
 /// shared between all destinations of one `multicast` call.
@@ -151,38 +124,6 @@ impl Ord for Entry {
     }
 }
 
-struct Slot<P> {
-    proc: P,
-    node: NodeId,
-    alive: bool,
-    /// How many times this pid has been restarted (0 = first life). Bumped
-    /// by [`Sim::restart`]; deliveries and timers are tagged with it so the
-    /// engine can drop traffic addressed to a previous life.
-    incarnation: u32,
-    /// This process's private deterministic RNG stream, seeded from
-    /// `(SimConfig::seed, pid)`. Latency/loss draws for *its* sends and
-    /// `Ctx::rng` draws in *its* callbacks come from here, in its own
-    /// execution order.
-    rng: DetRng,
-    /// Per-source event sequence counter (the `seq` of queue entries this
-    /// process originates). Persists across restarts.
-    next_seq: u64,
-    /// Per-process timer counter; allocated ids are prefixed with the pid
-    /// (see `Ctx::timer_base`), so they are unique across processes.
-    next_timer: u64,
-    /// Timers this process has armed and not yet fired or cancelled.
-    /// Id-sorted (ids are allocated monotonically per process): arming is a
-    /// tail push, lookups binary-search a few entries.
-    armed: Vec<(TimerId, SimTime)>,
-}
-
-/// The per-process RNG seed: one SplitMix64 "split" of the run seed per
-/// pid, the standard construction for independent child streams.
-fn slot_seed(seed: u64, pid: Pid) -> u64 {
-    const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
-    SplitMix64::new(seed.wrapping_add(GOLDEN.wrapping_mul(u64::from(pid.0) + 1))).next_u64()
-}
-
 /// Simulation-wide configuration.
 #[derive(Clone, Debug)]
 #[derive(Default)]
@@ -220,9 +161,9 @@ impl SimConfig {
 }
 
 /// The simulator: a deterministic, single-threaded world of workstations.
-/// It is the default [`Transport`] implementation: actions buffered by
-/// callbacks are interpreted against its latency/loss model and pending
-/// event queue.
+/// Its processes live in the shared [`Endpoint`]; actions buffered by their
+/// callbacks are interpreted against the sim's latency/loss model and
+/// pending event queue.
 pub struct Sim<P: Process> {
     cfg: SimConfig,
     /// Sequence counter for harness-originated events (spawn starts,
@@ -236,13 +177,12 @@ pub struct Sim<P: Process> {
     /// `P::Msg` is.
     payloads: Vec<Option<Payload<P::Msg>>>,
     free_payloads: Vec<u32>,
-    procs: Vec<Option<Slot<P>>>,
     node_sites: Vec<SiteId>,
     partition: Partition,
-    /// The process-hosting runtime shared with real backends: clock
-    /// snapshot, RNG, stats, observations, reusable action buffer, optional
-    /// tracer. The sim is its single clock writer.
-    ep: Endpoint<P::Msg>,
+    /// The process host shared with the socket daemon: process table,
+    /// clock snapshot, RNGs, stats, observations, reusable action buffer,
+    /// optional tracer. The sim is its single clock writer.
+    ep: Endpoint<P>,
     /// Per ordered (src, dst) pair: latest scheduled arrival, used to keep
     /// channels FIFO when `NetConfig::fifo` is set. A flat dense table
     /// indexed `[src][dst]` (grown on demand; `SimTime::ZERO` = no pending
@@ -262,7 +202,6 @@ impl<P: Process> Sim<P> {
             cfg,
             ext_seq: 0,
             queue: BinaryHeap::new(),
-            procs: Vec::new(),
             node_sites: Vec::new(),
             partition: Partition::connected(),
             ep,
@@ -294,11 +233,6 @@ impl<P: Process> Sim<P> {
         self.ep.take_tracer()
     }
 
-    /// Records an engine-level trace event; no-op (returning 0) when off.
-    fn trace(&mut self, pid: Pid, cause: Option<u64>, kind: TraceKind) -> u64 {
-        self.ep.trace(pid, cause, kind)
-    }
-
     /// Adds a workstation at `site` and returns its id.
     pub fn add_node(&mut self, site: SiteId) -> NodeId {
         let id = NodeId(self.node_sites.len() as u32);
@@ -321,36 +255,15 @@ impl<P: Process> Sim<P> {
             (node.0 as usize) < self.node_sites.len(),
             "spawn on unknown {node:?}"
         );
-        let pid = Pid(self.procs.len() as u32);
-        self.procs.push(Some(Slot {
-            proc: proc_,
-            node,
-            alive: true,
-            incarnation: 0,
-            rng: DetRng::seed_from_u64(slot_seed(self.cfg.seed, pid)),
-            next_seq: 0,
-            next_timer: 0,
-            armed: Vec::new(),
-        }));
-        self.ep.stats.ensure_proc(pid);
-        if self.ep.tracing() {
-            self.trace(pid, None, TraceKind::Spawn { node: node.0 });
-        }
-        let seq = self.slot_seq(pid);
-        self.push(self.ep.now, 1, seq, pid.0, Event::Start { pid, inc: 0 });
+        let pid = self.ep.next_pid();
+        self.ep.host(pid, node, proc_);
+        let seq = self.ep.next_seq(pid);
+        self.push(self.ep.now(), 1, seq, pid.0, Event::Start { pid, inc: 0 });
         pid
     }
 
     fn push(&mut self, at: SimTime, class: u8, seq: u64, src: u32, ev: Event) {
         self.queue.push(Reverse(Entry { at, class, seq, src, ev }));
-    }
-
-    /// Draws the next per-source sequence number of `pid`'s slot.
-    fn slot_seq(&mut self, pid: Pid) -> u64 {
-        let s = self.procs[pid.0 as usize].as_mut().expect("unknown pid");
-        let seq = s.next_seq;
-        s.next_seq += 1;
-        seq
     }
 
     /// Draws the next harness-originated sequence number.
@@ -387,17 +300,7 @@ impl<P: Process> Sim<P> {
 
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        self.ep.now
-    }
-
-    /// The process-hosting runtime (stats, observations, RNG, tracer).
-    pub fn endpoint(&self) -> &Endpoint<P::Msg> {
-        &self.ep
-    }
-
-    /// Mutable access to the process-hosting runtime.
-    pub fn endpoint_mut(&mut self) -> &mut Endpoint<P::Msg> {
-        &mut self.ep
+        self.ep.now()
     }
 
     /// Immutable view of the run statistics.
@@ -415,89 +318,51 @@ impl<P: Process> Sim<P> {
         self.ep.observations()
     }
 
-    /// Mutable observation log (for clearing between measurement windows).
-    pub fn observations_mut(&mut self) -> &mut ObservationLog {
-        self.ep.observations_mut()
-    }
-
     /// Immutable access to a process's state, alive or crashed.
     ///
     /// # Panics
     ///
     /// Panics on an unknown pid.
     pub fn process(&self, pid: Pid) -> &P {
-        &self.slot(pid).proc
+        self.ep.process(pid).expect("unknown pid")
     }
 
     /// Mutable access to a process's *state only* — effects are impossible
     /// without a [`Ctx`]; prefer [`Sim::invoke`] to drive protocol actions.
     pub fn process_mut(&mut self, pid: Pid) -> &mut P {
-        &mut self.procs[pid.0 as usize]
-            .as_mut()
-            .expect("unknown pid")
-            .proc
-    }
-
-    fn slot(&self, pid: Pid) -> &Slot<P> {
-        self.procs[pid.0 as usize].as_ref().expect("unknown pid")
+        self.ep.process_mut(pid).expect("unknown pid")
     }
 
     /// Whether `pid` is alive (spawned and not crashed or halted).
     pub fn is_alive(&self, pid: Pid) -> bool {
-        self.procs
-            .get(pid.0 as usize)
-            .and_then(Option::as_ref)
-            .is_some_and(|s| s.alive)
+        self.ep.is_alive(pid)
     }
 
     /// The current incarnation of `pid`: 0 for the first life, bumped by
-    /// every [`Sim::restart`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unknown pid.
+    /// every [`Sim::restart`] (0 for an unknown pid).
     pub fn incarnation(&self, pid: Pid) -> u32 {
-        self.slot(pid).incarnation
+        self.ep.incarnation(pid)
     }
 
     /// The node hosting `pid`.
     pub fn node_of(&self, pid: Pid) -> NodeId {
-        self.slot(pid).node
-    }
-
-    /// The site of a node.
-    pub fn site_of(&self, node: NodeId) -> SiteId {
-        self.node_sites[node.0 as usize]
+        self.ep.node_of(pid).expect("unknown pid")
     }
 
     /// All currently alive pids, in pid order.
     pub fn alive_pids(&self) -> Vec<Pid> {
-        (0..self.procs.len() as u32)
-            .map(Pid)
-            .filter(|p| self.is_alive(*p))
-            .collect()
+        (0..self.ep.next_pid().0).map(Pid).filter(|p| self.is_alive(*p)).collect()
     }
 
-    /// Number of spawned processes (alive or not).
-    pub fn num_processes(&self) -> usize {
-        self.procs.len()
-    }
-
-    /// Harness randomness drawn from the same deterministic stream.
-    pub fn rng_mut(&mut self) -> &mut DetRng {
-        self.ep.rng_mut()
-    }
-
-    /// Marks `pid` dead and drops every FIFO clock entry touching it, so
-    /// long churn runs don't accumulate dead channels. Safe because a dead
-    /// process never sends again and anything addressed to it is dropped at
-    /// delivery time. Returns whether it was alive.
-    fn kill(&mut self, pid: Pid) -> bool {
+    /// Kills `pid` in the host (tracing `how` once) and drops every FIFO
+    /// clock entry touching it, so long churn runs don't accumulate dead
+    /// channels. Safe because a dead process never sends again and anything
+    /// addressed to it is dropped at delivery time.
+    fn kill(&mut self, pid: Pid, cause: Option<u64>, how: TraceKind) {
+        if !self.ep.kill(pid, cause, how) {
+            return;
+        }
         let i = pid.0 as usize;
-        let Some(slot) = self.procs[i].as_mut().filter(|s| s.alive) else {
-            return false;
-        };
-        slot.alive = false;
         if let Some(row) = self.channel_clock.get_mut(i) {
             *row = Vec::new();
         }
@@ -506,7 +371,6 @@ impl<P: Process> Sim<P> {
                 *c = SimTime::ZERO;
             }
         }
-        true
     }
 
     /// Number of live FIFO channel-clock entries (test/diagnostic hook).
@@ -521,11 +385,7 @@ impl<P: Process> Sim<P> {
     /// Zero after quiescence — the regression guard for the old leak where
     /// cancelled ids of already-fired timers accumulated forever.
     pub fn armed_timers(&self) -> usize {
-        self.procs
-            .iter()
-            .flatten()
-            .map(|s| s.armed.len())
-            .sum()
+        self.ep.armed_timers()
     }
 
     /// Crashes `pid` immediately: it stops executing and every in-flight
@@ -534,9 +394,7 @@ impl<P: Process> Sim<P> {
     /// Crashing an already-dead pid is an explicit no-op (chaos schedules
     /// can double-fire a crash): no trace event, no state change.
     pub fn crash(&mut self, pid: Pid) {
-        if self.kill(pid) && self.ep.tracing() {
-            self.trace(pid, None, TraceKind::Crash);
-        }
+        self.kill(pid, None, TraceKind::Crash);
     }
 
     /// Registers the factory that builds the fresh process state of a
@@ -574,42 +432,32 @@ impl<P: Process> Sim<P> {
     /// [`Sim::restart`] with explicit fresh process state (no factory
     /// needed). No-op returning `None` if `pid` is alive.
     pub fn restart_with(&mut self, pid: Pid, proc_: P) -> Option<u32> {
-        let slot = self.procs[pid.0 as usize].as_mut().expect("unknown pid");
-        if slot.alive {
-            return None;
-        }
-        slot.proc = proc_;
-        slot.alive = true;
-        slot.incarnation += 1;
-        let inc = slot.incarnation;
-        if self.ep.tracing() {
-            self.trace(pid, None, TraceKind::Restart { incarnation: u64::from(inc) });
-        }
-        let seq = self.slot_seq(pid);
-        self.push(self.ep.now, 1, seq, pid.0, Event::Start { pid, inc });
+        let inc = self.ep.revive(pid, proc_)?;
+        let seq = self.ep.next_seq(pid);
+        self.push(self.ep.now(), 1, seq, pid.0, Event::Start { pid, inc });
         Some(inc)
     }
 
     /// Schedules a restart of `pid` at absolute time `at` (via the respawn
     /// factory). A no-op at fire time if the pid is alive then.
     pub fn schedule_restart(&mut self, pid: Pid, at: SimTime) {
-        assert!(at >= self.ep.now, "cannot schedule a restart in the past");
+        assert!(at >= self.ep.now(), "cannot schedule a restart in the past");
         let seq = self.ext_seq();
         self.push(at, 0, seq, Pid::EXTERNAL.0, Event::Restart(pid));
     }
 
     /// Crashes every process hosted on `node` (a workstation power failure).
     pub fn crash_node(&mut self, node: NodeId) {
-        for i in 0..self.procs.len() {
-            if self.procs[i].as_ref().is_some_and(|s| s.node == node) {
-                self.crash(Pid(i as u32));
+        for pid in (0..self.ep.next_pid().0).map(Pid) {
+            if self.ep.node_of(pid) == Some(node) {
+                self.crash(pid);
             }
         }
     }
 
     /// Schedules a crash of `pid` at absolute time `at`.
     pub fn schedule_crash(&mut self, pid: Pid, at: SimTime) {
-        assert!(at >= self.ep.now, "cannot schedule a crash in the past");
+        assert!(at >= self.ep.now(), "cannot schedule a crash in the past");
         let seq = self.ext_seq();
         self.push(at, 0, seq, Pid::EXTERNAL.0, Event::Crash(pid));
     }
@@ -632,14 +480,9 @@ impl<P: Process> Sim<P> {
 
     /// Schedules a partition change at absolute time `at`.
     pub fn schedule_partition(&mut self, at: SimTime, p: Partition) {
-        assert!(at >= self.ep.now, "cannot schedule a partition in the past");
+        assert!(at >= self.ep.now(), "cannot schedule a partition in the past");
         let seq = self.ext_seq();
         self.push(at, 0, seq, Pid::EXTERNAL.0, Event::SetPartition(p));
-    }
-
-    /// Reads the current partition state.
-    pub fn partition(&self) -> &Partition {
-        &self.partition
     }
 
     /// Invokes `f` on a live process with a full effect context, as though
@@ -663,43 +506,46 @@ impl<P: Process> Sim<P> {
         cause: Option<u64>,
         f: impl FnOnce(&mut P, &mut Ctx<'_, P::Msg>) -> R,
     ) -> Option<R> {
-        if !self.is_alive(pid) {
-            return None;
+        // Callbacks are never nested (applying actions cannot re-enter
+        // invoke), so the endpoint-owned scratch buffer round-trips through
+        // the Ctx and `give_back`, and steady-state invocations allocate
+        // nothing.
+        let (r, mut actions) = self.ep.run(pid, cause, f)?;
+        for a in actions.drain(..) {
+            self.apply(pid, a, cause);
         }
-        // Callbacks are never nested (dispatch cannot re-enter invoke), so
-        // the endpoint-owned scratch buffer round-trips through the Ctx and
-        // `give_back`, and steady-state invocations allocate nothing.
-        let (r, mut actions) = {
-            // Split borrows: the process slot stays in place (no move out and
-            // back) while the endpoint borrows its disjoint fields. The Ctx
-            // is built here rather than via `Endpoint::run` because the
-            // engine wires in *per-slot* determinism state: the process's
-            // own RNG stream and its own timer counter under a pid-derived
-            // id prefix.
-            let Sim { procs, ep, .. } = self;
-            let slot = procs[pid.0 as usize].as_mut().expect("unknown pid");
-            let mut actions = std::mem::take(&mut ep.scratch);
-            let r = {
-                let mut ctx = Ctx {
-                    now: ep.now,
-                    me: pid,
-                    incarnation: slot.incarnation,
-                    rng: &mut slot.rng,
-                    stats: &mut ep.stats,
-                    obs: &mut ep.obs,
-                    next_timer: &mut slot.next_timer,
-                    timer_base: (u64::from(pid.0) + 1) << 32,
-                    actions: &mut actions,
-                    tracer: ep.tracer.as_mut(),
-                    cause,
-                };
-                f(&mut slot.proc, &mut ctx)
-            };
-            (r, actions)
-        };
-        dispatch(self, pid, &mut actions, cause);
         self.ep.give_back(actions);
         Some(r)
+    }
+
+    /// Interprets one action emitted by `from`: traffic becomes queue
+    /// events routed through the latency/loss model, on simulated time.
+    fn apply(&mut self, from: Pid, action: Action<P::Msg>, cause: Option<u64>) {
+        match action {
+            Action::Send { to, msg } => self.route(from, to, msg, cause),
+            Action::Multicast { dsts, msg } => {
+                // Size once, share the payload; each destination still
+                // counts as one message, exactly as before.
+                let bytes = P::wire_size(&msg);
+                let shared = Rc::new(msg);
+                for to in dsts {
+                    self.route_payload(
+                        from,
+                        to,
+                        Payload::Shared(Rc::clone(&shared)),
+                        bytes,
+                        cause,
+                    );
+                }
+            }
+            Action::SetTimer { id, kind, at } => {
+                let inc = self.ep.arm(from, id);
+                let seq = self.ep.next_seq(from);
+                self.push(at, 1, seq, from.0, Event::Timer { pid: from, id, kind, inc });
+            }
+            Action::CancelTimer(id) => self.ep.disarm(id),
+            Action::Halt => self.kill(from, cause, TraceKind::Halt),
+        }
     }
 
     fn route(&mut self, from: Pid, to: Pid, msg: P::Msg, cause: Option<u64>) {
@@ -715,22 +561,13 @@ impl<P: Process> Sim<P> {
         bytes: usize,
         cause: Option<u64>,
     ) {
-        self.ep.stats.record_send(from, to, bytes);
-        // The NetSend's seq *is* the wire id carried by the delivery/drop.
-        let wire = match self.ep.tracing() {
-            true => self.trace(from, cause, TraceKind::NetSend { to: to.0, bytes: bytes as u64 }),
-            false => 0,
-        };
-        if (to.0 as usize) >= self.procs.len() {
+        let wire = self.ep.book_send(from, to, bytes, cause);
+        let Some(dst_node) = self.ep.node_of(to) else {
             // Message to a pid that does not exist (e.g. stale address).
-            self.ep.stats.record_drop(to);
-            if wire > 0 {
-                self.trace(from, Some(wire), TraceKind::NetDrop { to: to.0, send: wire });
-            }
+            self.ep.book_drop(from, to, wire);
             return;
-        }
-        let src_node = self.slot(from).node;
-        let dst_node = self.slot(to).node;
+        };
+        let src_node = self.node_of(from);
         // Borrow the link model in place (no per-message clone); the drop
         // decision and latency draw complete before any &mut self call.
         // Draws come from the *sender's* slot RNG, in the sender's own
@@ -740,13 +577,12 @@ impl<P: Process> Sim<P> {
         } else {
             let same_site =
                 self.node_sites[src_node.0 as usize] == self.node_sites[dst_node.0 as usize];
-            let Sim { cfg, procs, .. } = self;
             let model = if same_site {
-                &cfg.net.local
+                &self.cfg.net.local
             } else {
-                &cfg.net.long_distance
+                &self.cfg.net.long_distance
             };
-            let rng = &mut procs[from.0 as usize].as_mut().expect("unknown pid").rng;
+            let rng = self.ep.slot_rng(from);
             if model.sample_drop(rng) {
                 None
             } else {
@@ -754,13 +590,10 @@ impl<P: Process> Sim<P> {
             }
         };
         let Some(latency) = latency else {
-            self.ep.stats.record_drop(to);
-            if wire > 0 {
-                self.trace(from, Some(wire), TraceKind::NetDrop { to: to.0, send: wire });
-            }
+            self.ep.book_drop(from, to, wire);
             return;
         };
-        let mut arrival = self.ep.now + latency;
+        let mut arrival = self.ep.now() + latency;
         if self.cfg.net.fifo {
             let (fi, ti) = (from.0 as usize, to.0 as usize);
             if self.channel_clock.len() <= fi {
@@ -776,8 +609,8 @@ impl<P: Process> Sim<P> {
             }
             *clock = arrival;
         }
-        let inc = self.slot(to).incarnation;
-        let seq = self.slot_seq(from);
+        let inc = self.ep.incarnation(to);
+        let seq = self.ep.next_seq(from);
         let payload = self.store_payload(payload);
         self.push(arrival, 1, seq, from.0, Event::Deliver { to, from, payload, wire, inc });
     }
@@ -789,90 +622,35 @@ impl<P: Process> Sim<P> {
     fn execute(&mut self, entry: Entry) -> bool {
         match entry.ev {
             Event::Start { pid, inc } => {
-                if self.is_alive(pid) && self.slot(pid).incarnation == inc {
+                if self.is_alive(pid) && self.ep.incarnation(pid) == inc {
                     self.invoke(pid, |p, ctx| p.on_start(ctx));
                 }
             }
             Event::Deliver { to, from, payload, wire, inc } => {
                 let payload = self.take_payload(payload);
-                if !self.is_alive(to) {
-                    self.ep.stats.record_drop(to);
-                    if wire > 0 {
-                        self.trace(from, Some(wire), TraceKind::NetDrop { to: to.0, send: wire });
-                    }
-                    return false;
-                }
-                if self.slot(to).incarnation != inc {
-                    // Addressed to a previous life of a restarted
-                    // process: dropping (counted, traced) is what keeps
-                    // a restart from resurrecting zombie state.
-                    self.ep.stats.record_stale_drop(to);
-                    if wire > 0 {
-                        self.trace(
-                            from,
-                            Some(wire),
-                            TraceKind::StaleDrop {
-                                to: to.0,
-                                incarnation: u64::from(inc),
-                                send: wire,
-                            },
-                        );
-                    }
+                if !self.ep.admit(from, to, wire, inc) {
                     return false;
                 }
                 // Partition is evaluated at delivery time: messages in
                 // flight when the partition forms are lost, like frames
                 // on a cut cable. (The harness pseudo-client has no node
                 // and is never partitioned away.)
-                let src = self.procs.get(from.0 as usize).and_then(Option::as_ref);
-                if let Some(sn) = src.map(|s| s.node) {
-                    let dn = self.slot(to).node;
-                    if !self.partition.connected_pair(sn, dn) {
-                        self.ep.stats.record_drop(to);
-                        if wire > 0 {
-                            self.trace(from, Some(wire), TraceKind::NetDrop { to: to.0, send: wire });
-                        }
+                if let Some(sn) = self.ep.node_of(from) {
+                    if !self.partition.connected_pair(sn, self.node_of(to)) {
+                        self.ep.book_drop(from, to, wire);
                         return false;
                     }
                 }
-                self.ep.stats.record_delivery(to);
-                let cause = match self.ep.tracing() {
-                    true => Some(self.trace(
-                        to,
-                        (wire > 0).then_some(wire),
-                        TraceKind::NetDeliver { from: from.0, send: wire },
-                    )),
-                    false => None,
-                };
+                let cause = self.ep.book_delivery(from, to, wire);
                 self.invoke_caused(to, cause, |p, ctx| p.on_message(from, payload.into_msg(), ctx));
             }
-            Event::Timer { pid, id, kind, inc } => {
-                // A fired timer leaves its owner's `armed` immediately,
-                // whether or not the owner still runs; cancelled or stale
-                // ids are simply absent. The incarnation gate keeps a
-                // previous life's timers from firing into a restarted
-                // process.
-                {
-                    let slot = self.procs[pid.0 as usize].as_mut().expect("unknown pid");
-                    match slot.armed.binary_search_by_key(&id, |&(t, _)| t) {
-                        Ok(i) => {
-                            slot.armed.remove(i);
-                        }
-                        Err(_) => return false,
-                    }
-                }
-                if self.is_alive(pid) && self.slot(pid).incarnation == inc {
-                    let cause = match self.ep.tracing() {
-                        true => Some(self.trace(
-                            pid,
-                            None,
-                            TraceKind::TimerFire { kind: u64::from(kind) },
-                        )),
-                        false => None,
-                    };
+            Event::Timer { pid, id, kind, inc } => match self.ep.fire(pid, id, kind, inc) {
+                TimerFate::Cancelled => return false,
+                TimerFate::Stale => {}
+                TimerFate::Fire(cause) => {
                     self.invoke_caused(pid, cause, |p, ctx| p.on_timer(id, kind, ctx));
                 }
-            }
+            },
             Event::Crash(pid) => self.crash(pid),
             Event::Restart(pid) => {
                 self.restart(pid);
@@ -889,8 +667,8 @@ impl<P: Process> Sim<P> {
             let Some(Reverse(entry)) = self.queue.pop() else {
                 return false;
             };
-            debug_assert!(entry.at >= self.ep.now, "event queue went backwards");
-            self.ep.now = entry.at;
+            debug_assert!(entry.at >= self.ep.now(), "event queue went backwards");
+            self.ep.set_now(entry.at);
             if self.execute(entry) {
                 return true;
             }
@@ -906,14 +684,14 @@ impl<P: Process> Sim<P> {
             }
             self.step();
         }
-        if self.ep.now < t {
-            self.ep.now = t;
+        if self.ep.now() < t {
+            self.ep.set_now(t);
         }
     }
 
     /// Runs for `d` of simulated time from now.
     pub fn run_for(&mut self, d: SimDuration) {
-        let t = self.ep.now + d;
+        let t = self.ep.now() + d;
         self.run_until(t);
     }
 
@@ -936,24 +714,12 @@ impl<P: Process> Sim<P> {
     /// after the loopback latency.
     pub fn inject(&mut self, to: Pid, msg: P::Msg) {
         let bytes = P::wire_size(&msg);
-        self.ep.stats.record_send(Pid::EXTERNAL, to, bytes);
-        let wire = match self.ep.tracing() {
-            true => self.trace(
-                Pid::EXTERNAL,
-                None,
-                TraceKind::NetSend { to: to.0, bytes: bytes as u64 },
-            ),
-            false => 0,
-        };
+        let wire = self.ep.book_send(Pid::EXTERNAL, to, bytes, None);
         let payload = self.store_payload(Payload::One(msg));
-        let inc = self
-            .procs
-            .get(to.0 as usize)
-            .and_then(Option::as_ref)
-            .map_or(0, |s| s.incarnation);
+        let inc = self.ep.incarnation(to);
         let seq = self.ext_seq();
         self.push(
-            self.ep.now + self.cfg.net.loopback,
+            self.ep.now() + self.cfg.net.loopback,
             1,
             seq,
             Pid::EXTERNAL.0,
@@ -965,69 +731,6 @@ impl<P: Process> Sim<P> {
                 inc,
             },
         );
-    }
-
-    /// Number of events currently pending.
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
-    }
-}
-
-/// The simulator is the default transport: actions become queue events
-/// routed through the latency/loss model, on simulated time.
-impl<P: Process> Transport<P::Msg> for Sim<P> {
-    fn clock(&self) -> SimTime {
-        self.ep.now
-    }
-
-    fn apply(&mut self, from: Pid, action: Action<P::Msg>, cause: Option<u64>) {
-        match action {
-            Action::Send { to, msg } => self.route(from, to, msg, cause),
-            Action::Multicast { dsts, msg } => {
-                // Size once, share the payload; each destination still
-                // counts as one message, exactly as before.
-                let bytes = P::wire_size(&msg);
-                let shared = Rc::new(msg);
-                for to in dsts {
-                    self.route_payload(
-                        from,
-                        to,
-                        Payload::Shared(Rc::clone(&shared)),
-                        bytes,
-                        cause,
-                    );
-                }
-            }
-            Action::SetTimer { id, kind, at } => {
-                let inc;
-                {
-                    let slot = self.procs[from.0 as usize].as_mut().expect("unknown pid");
-                    // Per-process ids are handed out monotonically, so this
-                    // is a push.
-                    debug_assert!(slot.armed.last().is_none_or(|&(last, _)| last < id));
-                    slot.armed.push((id, at));
-                    inc = slot.incarnation;
-                }
-                let seq = self.slot_seq(from);
-                self.push(at, 1, seq, from.0, Event::Timer { pid: from, id, kind, inc });
-            }
-            Action::CancelTimer(id) => {
-                // The id names its owner: the high bits are (pid + 1) << 32
-                // (see `Ctx::timer_base`), so the lookup goes straight to
-                // the owning slot's armed list.
-                let owner = ((id.0 >> 32) as u32).wrapping_sub(1);
-                if let Some(Some(slot)) = self.procs.get_mut(owner as usize) {
-                    if let Ok(i) = slot.armed.binary_search_by_key(&id, |&(t, _)| t) {
-                        slot.armed.remove(i);
-                    }
-                }
-            }
-            Action::Halt => {
-                if self.kill(from) && self.ep.tracing() {
-                    self.trace(from, cause, TraceKind::Halt);
-                }
-            }
-        }
     }
 }
 

@@ -47,8 +47,8 @@ pub mod time;
 pub mod transport;
 
 pub use det_rand::{DetRng, Rng};
-pub use engine::{Process, Sim, SimConfig};
-pub use transport::{dispatch, Action, Ctx, Endpoint, Transport};
+pub use engine::{Sim, SimConfig};
+pub use transport::{Action, Ctx, Endpoint, Process, TimerFate};
 pub use ids::{NodeId, Pid, SiteId, TimerId};
 pub use net::{LinkModel, NetConfig, Partition};
 pub use stats::{CounterId, ObservationLog, Series, SeriesId, Stats};

@@ -167,9 +167,8 @@ impl Stats {
         }
     }
 
-    /// Grows the per-process table to cover `pid`. Public for external
-    /// transport backends that host processes (see [`Stats::record_send`]).
-    pub fn ensure_proc(&mut self, pid: Pid) {
+    /// Grows the per-process table to cover `pid`.
+    pub(crate) fn ensure_proc(&mut self, pid: Pid) {
         let idx = pid.0 as usize;
         if self.per_proc.len() <= idx {
             self.per_proc.resize_with(idx + 1, ProcStats::default);
@@ -179,10 +178,10 @@ impl Stats {
         }
     }
 
-    /// Counts one message leaving `from` for `to`. Public so transport
-    /// backends outside this crate (the `now-net` daemon) keep the same
-    /// books as the simulator.
-    pub fn record_send(&mut self, from: Pid, to: Pid, bytes: usize) {
+    /// Counts one message leaving `from` for `to`. The `record_*` methods
+    /// are called only by the process host ([`crate::Endpoint`]), so both
+    /// backends keep the same books.
+    pub(crate) fn record_send(&mut self, from: Pid, to: Pid, bytes: usize) {
         self.messages_sent += 1;
         self.bytes_sent += bytes as u64;
         if !from.is_external() {
@@ -197,14 +196,14 @@ impl Stats {
     }
 
     /// Counts one delivery at `to` (see [`Stats::record_send`]).
-    pub fn record_delivery(&mut self, to: Pid) {
+    pub(crate) fn record_delivery(&mut self, to: Pid) {
         self.messages_delivered += 1;
         self.ensure_proc(to);
         self.per_proc[to.0 as usize].received += 1;
     }
 
     /// Counts one drop bound for `to` (see [`Stats::record_send`]).
-    pub fn record_drop(&mut self, to: Pid) {
+    pub(crate) fn record_drop(&mut self, to: Pid) {
         self.messages_dropped += 1;
         if !to.is_external() {
             self.ensure_proc(to);
@@ -214,7 +213,7 @@ impl Stats {
 
     /// Counts one drop of a message addressed to a previous incarnation of
     /// `to` (a restarted process). Stale drops are also ordinary drops.
-    pub fn record_stale_drop(&mut self, to: Pid) {
+    pub(crate) fn record_stale_drop(&mut self, to: Pid) {
         self.messages_stale_dropped += 1;
         self.record_drop(to);
     }
@@ -313,11 +312,6 @@ impl Stats {
             .map_or(0, |&id| self.counter_slots[id as usize])
     }
 
-    /// Reads an interned counter.
-    pub fn counter_by_id(&self, id: CounterId) -> u64 {
-        self.counter_slots[id.0 as usize]
-    }
-
     /// All named counters, sorted by name (built at report time).
     pub fn counters(&self) -> BTreeMap<String, u64> {
         self.counter_index
@@ -369,16 +363,6 @@ impl Stats {
         for s in &mut self.series_slots {
             *s = Series::default();
         }
-    }
-
-    /// Sum of messages sent by every process in `pids`.
-    pub fn sent_by(&self, pids: impl IntoIterator<Item = Pid>) -> u64 {
-        pids.into_iter().map(|p| self.proc(p).sent).sum()
-    }
-
-    /// Sum of messages received by every process in `pids`.
-    pub fn received_by(&self, pids: impl IntoIterator<Item = Pid>) -> u64 {
-        pids.into_iter().map(|p| self.proc(p).received).sum()
     }
 }
 
@@ -555,7 +539,6 @@ mod tests {
         st.sample_id(s, 2.0);
         st.sample("lat", 4.0);
         assert_eq!(st.counter("hits"), 5);
-        assert_eq!(st.counter_by_id(c), 5);
         assert_eq!(st.series("lat").mean(), 3.0);
         // Re-registering the same name yields the same id.
         assert_eq!(st.counter_id("hits"), c);
@@ -646,16 +629,5 @@ mod tests {
         m.insert(Pid(3), 9);
         let h = hottest(&m, 2);
         assert_eq!(h, vec![(Pid(2), 9), (Pid(3), 9)]);
-    }
-
-    #[test]
-    fn sent_received_aggregation() {
-        let mut st = Stats::default();
-        st.record_send(Pid(0), Pid(1), 1);
-        st.record_send(Pid(1), Pid(0), 1);
-        st.record_delivery(Pid(0));
-        st.record_delivery(Pid(1));
-        assert_eq!(st.sent_by([Pid(0), Pid(1)]), 2);
-        assert_eq!(st.received_by([Pid(0), Pid(1)]), 2);
     }
 }

@@ -1,40 +1,57 @@
-//! The pluggable transport surface of the engine.
+//! The process host both backends share.
 //!
-//! Every externally visible effect of a process callback — sends,
-//! multicasts, timers, halts — is buffered as an [`Action`] and applied by
-//! a [`Transport`] after the callback returns. The deterministic simulator
-//! ([`crate::engine::Sim`]) is the default implementation; a real backend
-//! (the `now-net` daemon) implements the same trait over sockets and real
-//! timers. Protocol crates are transport-agnostic: they only ever see a
-//! [`Ctx`], which buffers actions without knowing who will interpret them.
+//! A process callback sees only a [`Ctx`], which buffers every externally
+//! visible effect — sends, multicasts, timers, halts — as an [`Action`] for
+//! the hosting backend to apply after the callback returns.
 //!
-//! The split is three pieces:
-//! - [`Action`] — the effect vocabulary (what a callback may ask for),
-//! - [`Endpoint`] — the backend-shared process-hosting runtime: the clock
-//!   snapshot, the seeded RNG, stats, observations, the timer-id allocator,
-//!   the reusable action buffer, and the optional tracer. Both backends
-//!   drive callbacks through [`Endpoint::run`], so trace/stat emission is
-//!   identical in simulation and on a real network.
-//! - [`Transport`] — the backend contract: interpret one action. The
-//!   engine routes into its event queue; the daemon encodes frames onto
-//!   sockets and arms wall-clock timers.
+//! [`Endpoint`] owns the process table and every per-process booking rule:
+//! spawn, the callback `Ctx`, send / delivery / drop accounting with its
+//! `NetSend` / `NetDeliver` / `NetDrop` trace events, the incarnation gate,
+//! timers, crash, halt and restart. The simulator ([`crate::engine::Sim`])
+//! and the `now-net` socket daemon each embed one and keep only what
+//! carries a message, so a counter or a trace event means the same on both.
 //!
 //! Determinism note: nothing here reads a wall clock or spawns a thread;
 //! an `Endpoint` is exactly as deterministic as the `now` values its owner
-//! feeds it. The simulator feeds simulated time and stays byte-identical;
-//! the real backend feeds elapsed real time and deliberately gives that
-//! guarantee up (see DESIGN.md, "Transport architecture").
+//! feeds it (see DESIGN.md, "Transport architecture").
 
 use now_trace::{EventKind as TraceKind, Tracer};
 
-use crate::det_rand::DetRng;
-use crate::ids::{Pid, TimerId};
+use crate::det_rand::{DetRng, SplitMix64};
+use crate::ids::{NodeId, Pid, TimerId};
 use crate::stats::{CounterId, Observation, ObservationLog, SeriesId, Stats};
 use crate::time::{SimDuration, SimTime};
 
+/// Behaviour of a hosted process.
+///
+/// All processes in one simulation (or one daemon) share a message type
+/// `Msg`; layered protocols embed their payloads in it. Callbacks receive a
+/// [`Ctx`] through which every externally visible effect (sends, timers,
+/// observations) must flow — this is what makes runs reproducible and
+/// measurable.
+pub trait Process: 'static {
+    /// The message type exchanged between processes in this simulation.
+    type Msg: Clone + std::fmt::Debug + 'static;
+
+    /// Invoked once when the process is spawned.
+    fn on_start(&mut self, _ctx: &mut Ctx<'_, Self::Msg>) {}
+
+    /// Invoked when a message is delivered.
+    fn on_message(&mut self, from: Pid, msg: Self::Msg, ctx: &mut Ctx<'_, Self::Msg>);
+
+    /// Invoked when a timer set through [`Ctx::set_timer`] fires.
+    fn on_timer(&mut self, _id: TimerId, _kind: u32, _ctx: &mut Ctx<'_, Self::Msg>) {}
+
+    /// Estimated wire size in bytes of a message, for the latency model and
+    /// byte counters. The default suits small control messages.
+    fn wire_size(_msg: &Self::Msg) -> usize {
+        64
+    }
+}
+
 /// One buffered effect emitted by a process callback through [`Ctx`].
 ///
-/// Actions are interpreted by the owning [`Transport`] after the callback
+/// Actions are interpreted by the hosting backend after the callback
 /// returns, so a callback always observes a consistent snapshot of the
 /// world regardless of backend.
 pub enum Action<M> {
@@ -60,7 +77,7 @@ pub enum Action<M> {
         id: TimerId,
         /// Caller-chosen discriminator passed back to `on_timer`.
         kind: u32,
-        /// Absolute deadline on the owning transport's clock.
+        /// Absolute deadline on the owning backend's clock.
         at: SimTime,
     },
     /// Disarm a timer; unknown or fired ids are a no-op.
@@ -69,86 +86,83 @@ pub enum Action<M> {
     Halt,
 }
 
-/// The engine-side contract a backend must provide to host processes:
-/// a clock and an interpreter for buffered [`Action`]s.
-///
-/// [`crate::engine::Sim`] implements this over its deterministic event
-/// queue; `now-net`'s daemon implements it over unix/TCP sockets and
-/// wall-clock timers. Protocol crates never call this directly — they go
-/// through [`Ctx`] — so they compile unchanged against either backend.
-pub trait Transport<M> {
-    /// The current instant on this transport's clock (simulated time in
-    /// the engine, elapsed real microseconds in the daemon).
-    fn clock(&self) -> SimTime;
-
-    /// Interprets one action emitted by the process hosted at `from`.
-    /// `cause` is the trace seq of the delivery/timer that triggered the
-    /// emitting callback (None for harness-driven invocations).
-    fn apply(&mut self, from: Pid, action: Action<M>, cause: Option<u64>);
+/// What [`Endpoint::fire`] decided about a timer whose deadline came.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TimerFate {
+    /// Cancelled or already fired: nothing happens.
+    Cancelled,
+    /// Armed by an earlier or ended life of its owner: it does not fire.
+    Stale,
+    /// Run `on_timer` under this cause (the `TimerFire` seq, if traced).
+    Fire(Option<u64>),
 }
 
-/// Drains `actions` through the transport, preserving emission order.
-/// Both backends funnel every callback's effects through here, so the
-/// interpretation order is the buffering order on any transport.
-pub fn dispatch<M>(
-    t: &mut impl Transport<M>,
-    from: Pid,
-    actions: &mut Vec<Action<M>>,
-    cause: Option<u64>,
-) {
-    for a in actions.drain(..) {
-        t.apply(from, a, cause);
-    }
+/// The per-process RNG seed: one SplitMix64 "split" of the run seed per
+/// pid, the standard construction for independent child streams.
+fn slot_seed(seed: u64, pid: Pid) -> u64 {
+    const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+    SplitMix64::new(seed.wrapping_add(GOLDEN.wrapping_mul(u64::from(pid.0) + 1))).next_u64()
 }
 
-/// The backend-shared process-hosting runtime.
-///
-/// Owns everything a [`Ctx`] borrows: the clock snapshot, the seeded RNG,
-/// statistics, the observation log, the timer-id allocator, the reusable
-/// action buffer, and the optional tracer. A backend embeds one `Endpoint`
-/// and drives every process callback through [`Endpoint::run`], which is
-/// what makes stat counters and trace events mean the same thing in a
-/// simulation and on a real network.
-pub struct Endpoint<M> {
-    pub(crate) now: SimTime,
-    pub(crate) rng: DetRng,
-    pub(crate) stats: Stats,
-    pub(crate) obs: ObservationLog,
-    pub(crate) next_timer: u64,
-    pub(crate) scratch: Vec<Action<M>>,
-    pub(crate) tracer: Option<Tracer>,
+/// One hosted process and its private determinism state.
+struct Slot<P> {
+    proc: P,
+    node: NodeId,
+    alive: bool,
+    /// Restarts so far (0 = first life); traffic and timers carry it.
+    incarnation: u32,
+    /// This process's own stream, seeded from `(seed, pid)`: `Ctx::rng` in
+    /// its callbacks and, in the sim, its sends' latency draws.
+    rng: DetRng,
+    /// Per-source event sequence counter (the sim's queue `seq`).
+    next_seq: u64,
+    /// Per-process timer counter, under the pid prefix (`Ctx::set_timer`).
+    next_timer: u64,
+    /// Timers this process has armed and not yet fired or cancelled.
+    /// Id-sorted (ids are allocated monotonically per process): arming is a
+    /// tail push, lookups binary-search a few entries.
+    armed: Vec<TimerId>,
 }
 
-impl<M> Endpoint<M> {
-    /// A fresh endpoint at time zero with a seeded RNG. The tracer is
-    /// taken from the environment (`NOW_MONITORS` / `NOW_TRACE`), exactly
-    /// as the simulator always did.
-    pub fn new(seed: u64) -> Endpoint<M> {
+/// The process host shared by the simulator and the socket daemon: the
+/// process table, clock snapshot, stats, observations, reusable action
+/// buffer and optional tracer, plus every booking rule.
+pub struct Endpoint<P: Process> {
+    now: SimTime,
+    seed: u64,
+    stats: Stats,
+    obs: ObservationLog,
+    scratch: Vec<Action<P::Msg>>,
+    tracer: Option<Tracer>,
+    slots: Vec<Option<Slot<P>>>,
+}
+
+impl<P: Process> Endpoint<P> {
+    /// An empty host at time zero; `seed` seeds every process's own RNG
+    /// stream. The tracer comes from `NOW_MONITORS` / `NOW_TRACE`.
+    pub fn new(seed: u64) -> Endpoint<P> {
         Endpoint {
             now: SimTime::ZERO,
-            rng: DetRng::seed_from_u64(seed),
+            seed,
             stats: Stats::default(),
             obs: ObservationLog::default(),
-            next_timer: 0,
             scratch: Vec::new(),
             tracer: Tracer::from_env(),
+            slots: Vec::new(),
         }
     }
 
     /// The clock snapshot handed to the next callback.
+    #[inline]
     pub fn now(&self) -> SimTime {
         self.now
     }
 
     /// Advances the clock snapshot. The owner (sim or daemon) is the
     /// single writer; `Endpoint` never moves time on its own.
+    #[inline]
     pub fn set_now(&mut self, t: SimTime) {
         self.now = t;
-    }
-
-    /// The deterministic RNG stream.
-    pub fn rng_mut(&mut self) -> &mut DetRng {
-        &mut self.rng
     }
 
     /// Immutable statistics.
@@ -164,11 +178,6 @@ impl<M> Endpoint<M> {
     /// The observation log.
     pub fn observations(&self) -> &ObservationLog {
         &self.obs
-    }
-
-    /// Mutable observation log.
-    pub fn observations_mut(&mut self) -> &mut ObservationLog {
-        &mut self.obs
     }
 
     /// Attaches a tracer, replacing and returning any existing one.
@@ -192,92 +201,298 @@ impl<M> Endpoint<M> {
     }
 
     /// Whether tracing is on (used to skip event construction when off).
+    #[inline]
     pub fn tracing(&self) -> bool {
         self.tracer.is_some()
     }
 
-    /// Records a backend-level trace event stamped with the current clock;
-    /// no-op returning 0 when tracing is off.
-    pub fn trace(&mut self, pid: Pid, cause: Option<u64>, kind: TraceKind) -> u64 {
+    /// Records a host-level trace event; 0 when tracing is off.
+    #[inline]
+    fn trace(&mut self, pid: Pid, cause: Option<u64>, kind: TraceKind) -> u64 {
         match self.tracer.as_mut() {
             Some(tr) => tr.record(self.now.as_micros(), pid.0, cause, kind),
             None => 0,
         }
     }
 
-    /// Runs `f` under a [`Ctx`] for the process `me`, buffering its effects
-    /// into the endpoint-owned scratch buffer. Returns `f`'s result and the
-    /// filled buffer; interpret it with [`dispatch`] and hand it back via
-    /// [`Endpoint::give_back`] so steady-state callbacks never allocate.
-    ///
-    /// `incarnation` is the hosted process's current life number (0 for the
-    /// first life; the sim bumps it on every restart, real backends that
-    /// never restart in place pass 0). It is exposed to protocol layers via
-    /// [`Ctx::incarnation`] so a recovering process can tell a rejoin from
-    /// a first join.
+    #[inline]
+    fn slot(&self, pid: Pid) -> Option<&Slot<P>> {
+        self.slots.get(pid.0 as usize).and_then(Option::as_ref)
+    }
+
+    #[inline]
+    fn slot_mut(&mut self, pid: Pid) -> Option<&mut Slot<P>> {
+        self.slots.get_mut(pid.0 as usize).and_then(Option::as_mut)
+    }
+
+    /// Hosts `p` as `pid` on `node` and traces the `Spawn`; the caller
+    /// runs its `on_start`. (Inlined so `p` moves once, into its slot.)
+    #[inline]
+    pub fn host(&mut self, pid: Pid, node: NodeId, p: P) {
+        let slot = Some(Slot {
+            proc: p,
+            node,
+            alive: true,
+            incarnation: 0,
+            rng: DetRng::seed_from_u64(slot_seed(self.seed, pid)),
+            next_seq: 0,
+            next_timer: 0,
+            armed: Vec::new(),
+        });
+        let i = pid.0 as usize;
+        if i < self.slots.len() {
+            self.slots[i] = slot;
+        } else {
+            self.slots.resize_with(i, || None);
+            self.slots.push(slot);
+        }
+        self.stats.ensure_proc(pid);
+        self.trace(pid, None, TraceKind::Spawn { node: node.0 });
+    }
+
+    /// The pid the next dense `host` should use (one past the highest).
+    pub(crate) fn next_pid(&self) -> Pid {
+        Pid(self.slots.len() as u32)
+    }
+
+    /// Whether `pid` is hosted here and alive (not crashed or halted).
+    #[inline]
+    pub fn is_alive(&self, pid: Pid) -> bool {
+        self.slot(pid).is_some_and(|s| s.alive)
+    }
+
+    /// The current incarnation of `pid` (0 for an unknown pid).
+    #[inline]
+    pub fn incarnation(&self, pid: Pid) -> u32 {
+        self.slot(pid).map_or(0, |s| s.incarnation)
+    }
+
+    /// The node hosting `pid`, if it is hosted here.
+    #[inline]
+    pub(crate) fn node_of(&self, pid: Pid) -> Option<NodeId> {
+        self.slot(pid).map(|s| s.node)
+    }
+
+    /// The state of a hosted process, alive or dead.
+    pub fn process(&self, pid: Pid) -> Option<&P> {
+        self.slot(pid).map(|s| &s.proc)
+    }
+
+    /// Mutable state of a hosted process, alive or dead.
+    pub(crate) fn process_mut(&mut self, pid: Pid) -> Option<&mut P> {
+        self.slot_mut(pid).map(|s| &mut s.proc)
+    }
+
+    /// Draws the next per-source event sequence number of `pid`.
+    #[inline]
+    pub(crate) fn next_seq(&mut self, pid: Pid) -> u64 {
+        let s = self.slot_mut(pid).expect("unknown pid");
+        let seq = s.next_seq;
+        s.next_seq += 1;
+        seq
+    }
+
+    /// `pid`'s own RNG stream (the sim draws its sends' latency from it).
+    #[inline]
+    pub(crate) fn slot_rng(&mut self, pid: Pid) -> &mut DetRng {
+        &mut self.slot_mut(pid).expect("unknown pid").rng
+    }
+
+    /// Number of timers armed and not yet fired or cancelled.
+    pub(crate) fn armed_timers(&self) -> usize {
+        self.slots.iter().flatten().map(|s| s.armed.len()).sum()
+    }
+
+    /// Runs `f` on the live process `pid` under a [`Ctx`] built from its
+    /// slot (`None` if `pid` is not alive). Returns `f`'s result and the
+    /// buffered actions, which the backend applies in order and hands back
+    /// through [`Endpoint::give_back`], so steady-state callbacks never
+    /// allocate.
+    #[inline]
     pub fn run<R>(
         &mut self,
-        me: Pid,
-        incarnation: u32,
+        pid: Pid,
         cause: Option<u64>,
-        f: impl FnOnce(&mut Ctx<'_, M>) -> R,
-    ) -> (R, Vec<Action<M>>) {
-        let mut actions = std::mem::take(&mut self.scratch);
+        f: impl FnOnce(&mut P, &mut Ctx<'_, P::Msg>) -> R,
+    ) -> Option<(R, Vec<Action<P::Msg>>)> {
+        // Split borrows: the process stays in place while the Ctx borrows
+        // the endpoint's disjoint fields.
+        let Endpoint { now, stats, obs, scratch, tracer, slots, .. } = self;
+        let slot = slots.get_mut(pid.0 as usize)?.as_mut().filter(|s| s.alive)?;
+        let mut actions = std::mem::take(scratch);
         let r = {
-            let Endpoint { now, rng, stats, obs, next_timer, tracer, .. } = self;
             let mut ctx = Ctx {
                 now: *now,
-                me,
-                incarnation,
-                rng,
+                me: pid,
+                incarnation: slot.incarnation,
+                rng: &mut slot.rng,
                 stats,
                 obs,
-                next_timer,
-                timer_base: 0,
+                next_timer: &mut slot.next_timer,
                 actions: &mut actions,
                 tracer: tracer.as_mut(),
                 cause,
             };
-            f(&mut ctx)
+            f(&mut slot.proc, &mut ctx)
         };
-        (r, actions)
+        Some((r, actions))
     }
 
-    /// Returns the scratch buffer after dispatch, cleared for reuse.
-    pub fn give_back(&mut self, mut buf: Vec<Action<M>>) {
+    /// Returns the action buffer after it was applied, cleared for reuse.
+    #[inline]
+    pub fn give_back(&mut self, mut buf: Vec<Action<P::Msg>>) {
         buf.clear();
         self.scratch = buf;
+    }
+
+    /// Books a message leaving `from` for `to` and traces its `NetSend`.
+    /// Returns the wire id (the `NetSend` seq, 0 untraced) that its
+    /// delivery or drop carries.
+    #[inline]
+    pub fn book_send(&mut self, from: Pid, to: Pid, bytes: usize, cause: Option<u64>) -> u64 {
+        self.stats.record_send(from, to, bytes);
+        self.trace(from, cause, TraceKind::NetSend { to: to.0, bytes: bytes as u64 })
+    }
+
+    /// Books a message to `to` as lost; traced when its send was (`wire > 0`).
+    #[inline]
+    pub fn book_drop(&mut self, from: Pid, to: Pid, wire: u64) {
+        self.stats.record_drop(to);
+        if wire > 0 {
+            self.trace(from, Some(wire), TraceKind::NetDrop { to: to.0, send: wire });
+        }
+    }
+
+    /// The delivery gate: a message sent to life `inc` of `to` reaches only
+    /// that life. A dead or unknown destination is a drop; another
+    /// incarnation a stale drop (traced `StaleDrop`), so a restart never
+    /// resurrects zombie state.
+    #[inline]
+    pub fn admit(&mut self, from: Pid, to: Pid, wire: u64, inc: u32) -> bool {
+        match self.slot(to).map(|s| (s.alive, s.incarnation)) {
+            Some((true, cur)) if cur == inc => true,
+            Some((true, _)) => {
+                self.stats.record_stale_drop(to);
+                if wire > 0 {
+                    let kind = TraceKind::StaleDrop {
+                        to: to.0,
+                        incarnation: u64::from(inc),
+                        send: wire,
+                    };
+                    self.trace(from, Some(wire), kind);
+                }
+                false
+            }
+            _ => {
+                self.book_drop(from, to, wire);
+                false
+            }
+        }
+    }
+
+    /// Books an admitted delivery and traces its `NetDeliver`, returning
+    /// the cause to run `on_message` under.
+    #[inline]
+    pub fn book_delivery(&mut self, from: Pid, to: Pid, wire: u64) -> Option<u64> {
+        self.stats.record_delivery(to);
+        let kind = TraceKind::NetDeliver { from: from.0, send: wire };
+        self.tracing().then(|| self.trace(to, (wire > 0).then_some(wire), kind))
+    }
+
+    /// Records timer `id` as armed by `pid`; returns the incarnation to
+    /// hand back to [`Endpoint::fire`].
+    #[inline]
+    pub fn arm(&mut self, pid: Pid, id: TimerId) -> u32 {
+        let slot = self.slot_mut(pid).expect("unknown pid");
+        // Per-process ids are handed out monotonically, so this is a push.
+        debug_assert!(slot.armed.last().is_none_or(|&last| last < id));
+        slot.armed.push(id);
+        slot.incarnation
+    }
+
+    /// Cancels timer `id`, found through its owner prefix; an unknown,
+    /// fired or cancelled id is a no-op.
+    #[inline]
+    pub fn disarm(&mut self, id: TimerId) {
+        let owner = Pid(((id.0 >> 32) as u32).wrapping_sub(1));
+        if let Some(slot) = self.slot_mut(owner) {
+            if let Ok(i) = slot.armed.binary_search(&id) {
+                slot.armed.remove(i);
+            }
+        }
+    }
+
+    /// Judges timer `id` of `pid`, armed under incarnation `inc`, at its
+    /// deadline: it leaves the armed set, and fires (traced `TimerFire`)
+    /// only into the same, live life.
+    #[inline]
+    pub fn fire(&mut self, pid: Pid, id: TimerId, kind: u32, inc: u32) -> TimerFate {
+        let Some(slot) = self.slot_mut(pid) else {
+            return TimerFate::Cancelled;
+        };
+        match slot.armed.binary_search(&id) {
+            Ok(i) => {
+                slot.armed.remove(i);
+            }
+            Err(_) => return TimerFate::Cancelled,
+        }
+        if !slot.alive || slot.incarnation != inc {
+            return TimerFate::Stale;
+        }
+        let kind = TraceKind::TimerFire { kind: u64::from(kind) };
+        TimerFate::Fire(self.tracing().then(|| self.trace(pid, None, kind)))
+    }
+
+    /// Marks `pid` dead and traces `how` (`Crash` or `Halt`) once; a dead
+    /// or unknown pid is a no-op. Returns whether it was alive.
+    pub fn kill(&mut self, pid: Pid, cause: Option<u64>, how: TraceKind) -> bool {
+        let Some(slot) = self.slot_mut(pid).filter(|s| s.alive) else {
+            return false;
+        };
+        slot.alive = false;
+        self.trace(pid, cause, how);
+        true
+    }
+
+    /// Revives a dead `pid` with fresh state `p` under the next incarnation
+    /// and traces the `Restart`; `None` (a no-op) if `pid` is alive.
+    pub(crate) fn revive(&mut self, pid: Pid, p: P) -> Option<u32> {
+        let slot = self.slot_mut(pid).expect("unknown pid");
+        if slot.alive {
+            return None;
+        }
+        slot.proc = p;
+        slot.alive = true;
+        slot.incarnation += 1;
+        let inc = slot.incarnation;
+        self.trace(pid, None, TraceKind::Restart { incarnation: u64::from(inc) });
+        Some(inc)
     }
 }
 
 /// Effect context passed to every process callback.
 ///
-/// Effects are buffered and applied by the owning transport after the
+/// Effects are buffered and applied by the hosting backend after the
 /// callback returns, so a callback observes a consistent snapshot of the
 /// world. The action buffer is owned by the [`Endpoint`] and reused across
 /// callbacks, so buffering an effect does not allocate in steady state.
 pub struct Ctx<'a, M> {
-    pub(crate) now: SimTime,
-    pub(crate) me: Pid,
-    pub(crate) incarnation: u32,
-    pub(crate) rng: &'a mut DetRng,
-    pub(crate) stats: &'a mut Stats,
-    pub(crate) obs: &'a mut ObservationLog,
-    pub(crate) next_timer: &'a mut u64,
-    /// High bits OR-ed into every allocated [`TimerId`]. The daemon path
-    /// passes 0 (one global counter); the engine passes a pid-derived
-    /// prefix with a *per-process* counter, so an id names its owner and
-    /// depends only on that process's own execution order.
-    pub(crate) timer_base: u64,
-    pub(crate) actions: &'a mut Vec<Action<M>>,
-    pub(crate) tracer: Option<&'a mut Tracer>,
+    now: SimTime,
+    me: Pid,
+    incarnation: u32,
+    rng: &'a mut DetRng,
+    stats: &'a mut Stats,
+    obs: &'a mut ObservationLog,
+    next_timer: &'a mut u64,
+    actions: &'a mut Vec<Action<M>>,
+    tracer: Option<&'a mut Tracer>,
     /// Trace seq of the event (delivery, timer) that triggered this
     /// callback; threaded as the `cause` of everything it records.
-    pub(crate) cause: Option<u64>,
+    cause: Option<u64>,
 }
 
 impl<'a, M> Ctx<'a, M> {
-    /// The current time on the hosting transport's clock.
+    /// The current time on the hosting backend's clock.
     pub fn now(&self) -> SimTime {
         self.now
     }
@@ -315,8 +530,10 @@ impl<'a, M> Ctx<'a, M> {
 
     /// Arms a timer that fires after `delay` with the caller-chosen `kind`
     /// discriminator. Returns a handle usable with [`Ctx::cancel_timer`].
+    /// Ids count per process under a `(pid + 1) << 32` prefix, so an id
+    /// names its owner and depends only on the owner's execution order.
     pub fn set_timer(&mut self, delay: SimDuration, kind: u32) -> TimerId {
-        let id = TimerId(self.timer_base | *self.next_timer);
+        let id = TimerId(((u64::from(self.me.0) + 1) << 32) | *self.next_timer);
         *self.next_timer += 1;
         self.actions.push(Action::SetTimer {
             id,
@@ -420,123 +637,137 @@ impl<'a, M> Ctx<'a, M> {
 mod tests {
     use super::*;
 
-    /// A toy transport that records applied actions; the trait is small
-    /// enough that backends outside the engine stay this simple.
-    struct Recorder {
-        now: SimTime,
-        applied: Vec<(Pid, String)>,
+    /// A process that does nothing on its own; tests drive it by `run`.
+    struct Idle;
+
+    impl Process for Idle {
+        type Msg = u32;
+
+        fn on_message(&mut self, _from: Pid, _msg: u32, _ctx: &mut Ctx<'_, u32>) {}
     }
 
-    impl Transport<String> for Recorder {
-        fn clock(&self) -> SimTime {
-            self.now
-        }
-
-        fn apply(&mut self, from: Pid, action: Action<String>, _cause: Option<u64>) {
-            let what = match action {
-                Action::Send { to, msg } => format!("send {to} {msg}"),
-                Action::Multicast { dsts, msg } => format!("mcast x{} {msg}", dsts.len()),
-                Action::SetTimer { id, kind, .. } => format!("timer {id:?} k{kind}"),
-                Action::CancelTimer(id) => format!("cancel {id:?}"),
-                Action::Halt => "halt".into(),
-            };
-            self.applied.push((from, what));
-        }
+    /// Runs one callback on `pid` that arms `n` timers; returns their ids.
+    fn arm_ids<const N: usize>(ep: &mut Endpoint<Idle>, pid: Pid) -> [TimerId; N] {
+        let (ids, a) = ep
+            .run(pid, None, |_, ctx| [(); N].map(|()| ctx.set_timer(SimDuration::ZERO, 0)))
+            .expect("alive");
+        ep.give_back(a);
+        ids
     }
 
     #[test]
     fn endpoint_runs_callbacks_and_dispatch_preserves_order() {
-        let mut ep: Endpoint<String> = Endpoint::new(9);
-        ep.set_now(SimTime(50));
+        let mut ep: Endpoint<Idle> = Endpoint::new(9);
         let me = Pid(3);
-        let (got, mut actions) = ep.run(me, 0, None, |ctx| {
-            assert_eq!(ctx.me(), me);
-            assert_eq!(ctx.now(), SimTime(50));
-            ctx.send(Pid(4), "a".into());
-            let t = ctx.set_timer(SimDuration::from_millis(1), 7);
-            ctx.multicast([Pid(5), Pid(6)], "b".into());
-            ctx.cancel_timer(t);
-            ctx.halt();
-            42
-        });
+        ep.host(me, NodeId(0), Idle);
+        ep.set_now(SimTime(50));
+        let (got, actions) = ep
+            .run(me, None, |_, ctx| {
+                assert_eq!(ctx.me(), me);
+                assert_eq!(ctx.now(), SimTime(50));
+                ctx.send(Pid(4), 1);
+                let t = ctx.set_timer(SimDuration::from_millis(1), 7);
+                ctx.multicast([Pid(5), Pid(6)], 2);
+                ctx.cancel_timer(t);
+                ctx.halt();
+                42
+            })
+            .expect("a hosted process runs");
         assert_eq!(got, 42);
-        let mut rec = Recorder { now: SimTime(50), applied: Vec::new() };
-        dispatch(&mut rec, me, &mut actions, None);
+        // The backend applies the returned buffer front to back, so the
+        // buffer order is the order the effects take.
+        assert!(matches!(
+            actions[..],
+            [Action::Send { .. }, Action::SetTimer { .. }, Action::Multicast { .. },
+             Action::CancelTimer(_), Action::Halt]
+        ));
         ep.give_back(actions);
-        let kinds: Vec<&str> = rec
-            .applied
-            .iter()
-            .map(|(_, w)| w.split(' ').next().expect("non-empty"))
-            .collect();
-        assert_eq!(kinds, vec!["send", "timer", "mcast", "cancel", "halt"]);
-        assert!(rec.applied.iter().all(|(p, _)| *p == me));
+        // Pids that are not hosted, or no longer alive, never run.
+        assert!(ep.run(Pid(0), None, |_, _| ()).is_none());
+        assert!(ep.kill(me, None, TraceKind::Halt));
+        assert!(ep.run(me, None, |_, _| ()).is_none());
     }
 
     #[test]
     fn endpoint_scratch_buffer_is_reused() {
-        let mut ep: Endpoint<u32> = Endpoint::new(1);
-        let (_, mut a) = ep.run(Pid(0), 0, None, |ctx| {
-            for i in 0..16 {
-                ctx.send(Pid(1), i);
-            }
-        });
+        let mut ep: Endpoint<Idle> = Endpoint::new(1);
+        ep.host(Pid(0), NodeId(0), Idle);
+        let (_, a) = ep
+            .run(Pid(0), None, |_, ctx| {
+                for i in 0..16 {
+                    ctx.send(Pid(1), i);
+                }
+            })
+            .expect("alive");
         let cap = a.capacity();
-        a.clear();
         ep.give_back(a);
-        let (_, b) = ep.run(Pid(0), 0, None, |ctx| ctx.send(Pid(1), 1));
+        let (_, b) = ep.run(Pid(0), None, |_, ctx| ctx.send(Pid(1), 1)).expect("alive");
         assert_eq!(b.capacity(), cap, "scratch buffer must round-trip");
+        assert_eq!(b.len(), 1, "give_back clears the buffer");
         ep.give_back(b);
     }
 
     #[test]
     fn endpoint_timer_ids_are_monotonic_across_callbacks() {
-        let mut ep: Endpoint<u32> = Endpoint::new(1);
-        let (t1, a) = ep.run(Pid(0), 0, None, |ctx| ctx.set_timer(SimDuration::ZERO, 0));
-        ep.give_back(a);
-        let (t2, b) = ep.run(Pid(7), 0, None, |ctx| ctx.set_timer(SimDuration::ZERO, 0));
-        ep.give_back(b);
+        let mut ep: Endpoint<Idle> = Endpoint::new(1);
+        ep.host(Pid(0), NodeId(0), Idle);
+        ep.host(Pid(7), NodeId(0), Idle);
+        let [t1] = arm_ids(&mut ep, Pid(0));
+        let [t2] = arm_ids(&mut ep, Pid(7));
+        let [t3] = arm_ids(&mut ep, Pid(0));
         assert!(t2 > t1, "timer ids must never repeat across processes");
+        assert!(t3 > t1, "a process's ids keep counting across callbacks");
+        assert_ne!(t3, t2);
     }
 
     #[test]
     fn timer_base_prefixes_allocated_ids() {
-        // The engine allocates timer ids from per-process counters under a
-        // pid-derived base; the ids must interleave the two without
-        // colliding and without disturbing the counters' low bits.
-        let mut rng = DetRng::seed_from_u64(0);
-        let mut stats = Stats::default();
-        let mut obs = ObservationLog::default();
-        let mut ctr: u64 = 5;
-        let mut actions: Vec<Action<u32>> = Vec::new();
+        // Ids come from a per-process counter under a (pid + 1) << 32
+        // prefix; the prefix never disturbs the counter's low bits.
+        let mut ep: Endpoint<Idle> = Endpoint::new(0);
+        ep.host(Pid(0), NodeId(0), Idle);
+        ep.host(Pid(3), NodeId(0), Idle);
         let base = (3u64 + 1) << 32;
-        let mut ctx = Ctx {
-            now: SimTime::ZERO,
-            me: Pid(3),
-            incarnation: 0,
-            rng: &mut rng,
-            stats: &mut stats,
-            obs: &mut obs,
-            next_timer: &mut ctr,
-            timer_base: base,
-            actions: &mut actions,
-            tracer: None,
-            cause: None,
-        };
-        let a = ctx.set_timer(SimDuration::ZERO, 0);
-        let b = ctx.set_timer(SimDuration::ZERO, 0);
-        assert_eq!(a, TimerId(base | 5));
-        assert_eq!(b, TimerId(base | 6));
-        assert_eq!(ctr, 7);
+        let [a, b] = arm_ids(&mut ep, Pid(3));
+        let [z] = arm_ids(&mut ep, Pid(0));
+        let [c] = arm_ids(&mut ep, Pid(3));
+        assert_eq!((a, b, c), (TimerId(base), TimerId(base | 1), TimerId(base | 2)));
+        assert_eq!(z, TimerId(1 << 32));
+    }
+
+    #[test]
+    fn endpoint_timer_ids_name_their_owner() {
+        let mut ep: Endpoint<Idle> = Endpoint::new(1);
+        ep.host(Pid(0), NodeId(0), Idle);
+        ep.host(Pid(3), NodeId(0), Idle);
+        let [a, b] = arm_ids(&mut ep, Pid(3));
+        let [z] = arm_ids(&mut ep, Pid(0));
+        let inc = ep.arm(Pid(3), a);
+        ep.arm(Pid(3), b);
+        ep.arm(Pid(0), z);
+        assert_eq!(ep.armed_timers(), 3);
+        ep.disarm(b); // found through the id's prefix, not a pid argument
+        ep.disarm(b); // a second cancel is a no-op
+        assert_eq!(ep.fire(Pid(3), b, 0, inc), TimerFate::Cancelled);
+        assert_eq!(ep.fire(Pid(3), a, 0, inc), TimerFate::Fire(None));
+        assert_eq!(ep.fire(Pid(3), a, 0, inc), TimerFate::Cancelled, "fires once");
+        // A timer whose owner died leaves the armed set without firing.
+        ep.kill(Pid(0), None, TraceKind::Crash);
+        assert_eq!(ep.fire(Pid(0), z, 0, 0), TimerFate::Stale);
+        assert_eq!(ep.armed_timers(), 0);
     }
 
     #[test]
     fn endpoint_stats_and_observations_flow_through_ctx() {
-        let mut ep: Endpoint<u32> = Endpoint::new(2);
+        let mut ep: Endpoint<Idle> = Endpoint::new(2);
+        ep.host(Pid(1), NodeId(0), Idle);
         ep.set_now(SimTime(7));
-        let (_, a) = ep.run(Pid(1), 0, None, |ctx| {
-            ctx.bump("x.count");
-            ctx.observe("y", 1.5);
-        });
+        let (_, a) = ep
+            .run(Pid(1), None, |_, ctx| {
+                ctx.bump("x.count");
+                ctx.observe("y", 1.5);
+            })
+            .expect("alive");
         ep.give_back(a);
         assert_eq!(ep.stats().counter("x.count"), 1);
         assert_eq!(ep.observations().all().len(), 1);

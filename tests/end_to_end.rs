@@ -72,11 +72,11 @@ fn hierarchy_through_facade_bounds_failure_scope() {
     }
 }
 
-/// Golden-digest regression for the `Transport` refactor: the simulator now
-/// drives processes through the same `Endpoint`/`Action` surface that real
-/// network backends (crates/net) use, and this scenario pins the exact
+/// Golden-digest regression for the process host: the simulator hosts its
+/// processes in the same `Endpoint` as the socket daemon (crates/net) and
+/// applies their `Action`s itself, and this scenario pins the exact
 /// traffic digest of a core cluster and a hierarchy run. Any change to the
-/// engine, the transport dispatch, or the protocol stack that alters even
+/// engine, the endpoint's booking, or the protocol stack that alters even
 /// one message or timestamp shows up here as a digest mismatch.
 #[test]
 fn transport_refactor_digests_are_stable() {
