@@ -14,9 +14,9 @@
 #      gated on the output oracles only, never on its times,
 #   6. trace demo + Chrome export artifacts (tracectl smoke test),
 #   7. now-cluster loopback smoke: the real-socket backend boots an 8-process
-#      hierarchy over unix sockets, replays short E1/E9 runs, and the merged
-#      trace must show zero virtual-synchrony violations (non-zero exit
-#      otherwise),
+#      hierarchy over unix sockets, then again over loopback TCP (`--tcp`),
+#      replays short E1/E9 runs, and the merged trace must show zero
+#      virtual-synchrony violations (non-zero exit otherwise),
 #   8. chaos sweep: replay the shrunk-counterexample regression corpus, then
 #      1000 generated adversarial scenarios (correlated crashes, partition
 #      flaps, storms, rep-chain kills, crash-recover churn) with the
@@ -65,6 +65,8 @@ cargo run --quiet --release -p now-trace --bin tracectl -- \
 echo "==> now-cluster loopback smoke (real sockets, monitors on merged trace)"
 cargo run --quiet --release -p now-net --bin now-cluster -- smoke \
     | tee BENCH_artifacts/now_cluster_smoke.txt
+cargo run --quiet --release -p now-net --bin now-cluster -- smoke --tcp \
+    | tee BENCH_artifacts/now_cluster_smoke_tcp.txt
 
 echo "==> chaos sweep (1000 adversarial scenarios, monitors armed)"
 cargo run --quiet --release -p now-chaos --bin chaos_sweep -- \

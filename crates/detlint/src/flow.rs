@@ -10,10 +10,10 @@
 //! that inspects a protocol enum may end in a bare `_ =>` arm — a new
 //! variant added later would vanish without even a counter bump.
 //!
-//! `crates/net/src/wire.rs` is excluded from the construct/handle tally:
-//! the codec necessarily names every variant on both sides, which would
-//! mask genuinely dead surface. Parity of the codec itself is R8's job
-//! (see [`crate::wireparity`]).
+//! The wire codec in `crates/net/src/wire.rs` declares its layouts through
+//! macros that name variants only as `Self::…`, so it adds nothing to the
+//! construct/handle tally and cannot mask dead surface. Its parity with
+//! the enums is checked by the compiler, not here.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -30,10 +30,6 @@ const FLOW_SCOPE: [&str; 6] = [
     "crates/toolkit/src/",
     "crates/apps/src/",
 ];
-
-/// The codec mirror: names every variant by construction, so it proves
-/// nothing about live flow.
-const TALLY_EXCLUDE: &str = "crates/net/src/wire.rs";
 
 /// True when `name` follows the protocol-enum naming convention.
 pub fn is_flow_enum_name(name: &str) -> bool {
@@ -151,6 +147,20 @@ pub fn extract_enums(rel: &str, lines: &[Line]) -> Vec<EnumDef> {
         }
         out.push(EnumDef { name, file: rel.to_string(), line, variants });
         i = j + 1;
+    }
+    out
+}
+
+/// All non-test enum definitions in the workspace, whatever their name.
+pub fn collect_enum_defs(files: &[SourceFile]) -> Vec<EnumDef> {
+    let mut out = Vec::new();
+    for f in files {
+        let lines = scrub(&f.text);
+        out.extend(
+            extract_enums(&f.rel, &lines)
+                .into_iter()
+                .filter(|e| !lines[e.line - 1].in_test),
+        );
     }
     out
 }
@@ -436,9 +446,7 @@ pub fn lint_flow(files: &[SourceFile]) -> Vec<Finding> {
                 }
             }
         }
-        if f.rel != TALLY_EXCLUDE {
-            facts.push(file_facts(&f.rel, &lines));
-        }
+        facts.push(file_facts(&f.rel, &lines));
     }
 
     let mut out = Vec::new();

@@ -41,13 +41,11 @@
 //!   Name the remaining variants, or bind them (`other =>`) and route
 //!   through a traced unhandled path.
 //! - **R7** — every protocol-enum variant is both *constructed* somewhere
-//!   and *named in a pattern* somewhere (outside the wire codec, which
-//!   names everything by definition): anything else is dead wire surface.
-//! - **R8** — wire-schema parity: each `impl Wire for E` in `crates/net`
-//!   must carry an encode arm *and* a decode arm for every variant of `E`,
-//!   and no arm for a variant `E` no longer has. Decode matches on a tag
-//!   byte with a `BadTag` catch-all, so drift compiles silently — R8 makes
-//!   it a lint failure instead of a codec-fuzz lottery.
+//!   and *named in a pattern* somewhere: anything else is dead wire surface.
+//! - **R8** — retired, and its id is not reused. It checked that the wire
+//!   codec's hand-written `encode` and `decode` named every enum variant;
+//!   `crates/net/src/wire.rs` now generates both from one declaration per
+//!   layout, so the compiler rejects that drift.
 //! - **R9** — thread-topology audit for `crates/net`: cross-thread mutable
 //!   state flows only through `mpsc` channels or declared atomics. The
 //!   constructs that would break that shape (`Mutex`, `RwLock`, `Condvar`,
@@ -73,7 +71,6 @@ pub mod flow;
 pub mod scrub;
 pub mod threads;
 mod tok;
-pub mod wireparity;
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -99,8 +96,6 @@ pub enum Rule {
     R6,
     /// Protocol variant constructed-but-unhandled or handled-but-never-made.
     R7,
-    /// Wire-codec arm set drifted from the enum definition.
-    R8,
     /// Lock/interior-mutability construct in the net backend.
     R9,
     /// Stale or malformed `detlint: allow` directive.
@@ -109,7 +104,7 @@ pub enum Rule {
 
 impl Rule {
     /// All rules, in report order.
-    pub const ALL: [Rule; 10] = [
+    pub const ALL: [Rule; 9] = [
         Rule::R1,
         Rule::R2,
         Rule::R3,
@@ -117,7 +112,6 @@ impl Rule {
         Rule::R5,
         Rule::R6,
         Rule::R7,
-        Rule::R8,
         Rule::R9,
         Rule::R10,
     ];
@@ -131,7 +125,6 @@ impl Rule {
             Rule::R5 => "R5",
             Rule::R6 => "R6",
             Rule::R7 => "R7",
-            Rule::R8 => "R8",
             Rule::R9 => "R9",
             Rule::R10 => "R10",
         }
@@ -313,8 +306,8 @@ fn push_finding(
 }
 
 /// Lints one file's source text under the per-line rules (R1–R3, R5).
-/// The whole-workspace rules (R4, R6–R10) need the full file set; see
-/// [`lint_workspace`].
+/// The whole-workspace rules (R4, R6, R7, R9, R10) need the full file set;
+/// see [`lint_workspace`].
 pub fn lint_source(rel: &str, source: &str) -> Vec<Finding> {
     let mut used = BTreeSet::new();
     lint_source_inner(rel, &scrub(source), &mut used)
@@ -480,7 +473,7 @@ pub struct SourceFile {
 /// Per-file record of which allow-directive lines suppressed something.
 type UsedDirectives = BTreeMap<String, BTreeSet<usize>>;
 
-/// Lints a set of files under all ten rules.
+/// Lints a set of files under all nine rules.
 pub fn lint_files(files: &[SourceFile]) -> Vec<Finding> {
     let scrubbed: BTreeMap<String, Vec<Line>> =
         files.iter().map(|f| (f.rel.clone(), scrub(&f.text))).collect();
@@ -498,7 +491,6 @@ pub fn lint_files(files: &[SourceFile]) -> Vec<Finding> {
     // machinery of its own file.
     let raw: Vec<Finding> = flow::lint_flow(files)
         .into_iter()
-        .chain(wireparity::lint_wire_parity(files))
         .chain(threads::lint_r9(files))
         .collect();
     for finding in raw {
@@ -608,8 +600,8 @@ fn lint_r10(
                         rule: Rule::R10,
                         message: format!(
                             "allow directive names unknown rule `{id}` — it can never \
-                             suppress anything (known rules: R1–R{})",
-                            Rule::ALL.len()
+                             suppress anything (known rules: {})",
+                            Rule::ALL.map(Rule::id).join(", ")
                         ),
                     },
                 );
@@ -1039,7 +1031,7 @@ impl RepState {
     }
 
     /// The linter must hold on the workspace it ships in: this is the test
-    /// that makes `cargo test -q` enforce R1–R10 forever.
+    /// that makes `cargo test -q` enforce every rule forever.
     #[test]
     fn workspace_is_clean() {
         let findings = lint_workspace(&default_root()).expect("workspace readable");

@@ -11,11 +11,18 @@
 //! sequence counts) is validated against the remaining bytes and yields
 //! [`CodecError`] on mismatch — socket input is untrusted.
 //!
-//! The `decode` tag matches end in a `BadTag` catch-all, so a variant
-//! added to a protocol enum without a decode arm *compiles* and only
-//! fails against a live peer. detlint rule R8 closes that gap: it
-//! cross-checks the variants named by every `encode`/`decode` pair here
-//! against the enum definitions, and any drift fails the lint.
+//! Each protocol layout is declared once, as a `wire_struct!` or
+//! `wire_enum!` line listing its tags and fields in wire order, and both
+//! `encode` and `decode` are generated from that one list. The generated
+//! `encode` destructures every value with no `..` and matches with no
+//! wildcard; the generated `decode` builds every value with a full struct
+//! literal and denies unreachable tag arms. So the compiler rejects a
+//! variant or field missing from a declaration, a declared variant the
+//! type no longer has, and a tag used twice. What it cannot see — a
+//! renumbered tag or two fields swapped in a declaration — changes the
+//! bytes, and the `wire_format_is_frozen` test in `tests/codec_prop.rs`
+//! pins them. Only the primitives, the containers and [`VClock`] (encoded
+//! as its entry list) are written out by hand.
 
 use std::sync::Arc;
 
@@ -26,9 +33,9 @@ use isis_core::{
     StabilityVector, VClock,
 };
 use isis_hier::{
-    CtlMsg, HierPayload, HierState, LargeGroupId, LbcastId, LbcastStatus, LeaderCmd, TreeMsg,
+    CtlMsg, HierPayload, HierState, HierView, LargeGroupId, LbcastId, LbcastStatus, LeafDesc,
+    LeaderCmd, RoutingSlice, TreeMsg,
 };
-use isis_hier::{HierView, LeafDesc, RoutingSlice};
 
 use crate::codec::CodecError;
 
@@ -220,6 +227,24 @@ impl<T: Wire> Wire for Vec<T> {
     }
 }
 
+impl<T: Wire> Wire for Box<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (**self).encode(out);
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
+        T::decode(r).map(Box::new)
+    }
+}
+
+impl<T: Wire> Wire for Arc<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (**self).encode(out);
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
+        T::decode(r).map(Arc::new)
+    }
+}
+
 impl<A: Wire, B: Wire> Wire for (A, B) {
     fn encode(&self, out: &mut Vec<u8>) {
         self.0.encode(out);
@@ -241,83 +266,6 @@ impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
     }
 }
 
-// ------------------------------------------------------------- identifiers --
-
-impl Wire for Pid {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.0.encode(out);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
-        Ok(Pid(r.u32()?))
-    }
-}
-
-impl Wire for GroupId {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.0.encode(out);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
-        Ok(GroupId(r.u64()?))
-    }
-}
-
-impl Wire for LargeGroupId {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.0.encode(out);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
-        Ok(LargeGroupId(r.u32()?))
-    }
-}
-
-impl Wire for LbcastId {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.origin.encode(out);
-        self.seq.encode(out);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
-        Ok(LbcastId {
-            origin: Pid::decode(r)?,
-            seq: r.u64()?,
-        })
-    }
-}
-
-impl Wire for MsgId {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.sender.encode(out);
-        self.view.encode(out);
-        self.stream.encode(out);
-        self.seq.encode(out);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
-        Ok(MsgId {
-            sender: Pid::decode(r)?,
-            view: r.u64()?,
-            stream: r.u8()?,
-            seq: r.u64()?,
-        })
-    }
-}
-
-impl Wire for CastKind {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            CastKind::Fifo => 0,
-            CastKind::Causal => 1,
-            CastKind::Total => 2,
-        });
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
-        match r.u8()? {
-            0 => Ok(CastKind::Fifo),
-            1 => Ok(CastKind::Causal),
-            2 => Ok(CastKind::Total),
-            t => Err(CodecError::BadTag("cast_kind", u64::from(t))),
-        }
-    }
-}
-
 impl Wire for VClock {
     fn encode(&self, out: &mut Vec<u8>) {
         let entries: Vec<(Pid, u64)> = self.iter().collect();
@@ -333,768 +281,159 @@ impl Wire for VClock {
     }
 }
 
-impl Wire for GroupView {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.gid.encode(out);
-        self.view_id.encode(out);
-        self.members.encode(out);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
-        Ok(GroupView {
-            gid: GroupId::decode(r)?,
-            view_id: r.u64()?,
-            members: Vec::decode(r)?,
-        })
-    }
+// --------------------------------------------------------------- layouts --
+
+/// Declares a struct's layout: its fields, in wire order. The tuple form
+/// `wire_struct!(Pid(p))` covers a one-field tuple struct.
+macro_rules! wire_struct {
+    ($ty:ident $(<$($g:ident),+>)? { $($field:ident),+ $(,)? }) => {
+        impl$(<$($g: Wire),+>)? Wire for $ty$(<$($g),+>)? {
+            fn encode(&self, out: &mut Vec<u8>) {
+                let $ty { $($field),+ } = self;
+                $($field.encode(out);)+
+            }
+            fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
+                Ok($ty { $($field: Wire::decode(r)?),+ })
+            }
+        }
+    };
+    ($ty:ident($field:ident)) => {
+        impl Wire for $ty {
+            fn encode(&self, out: &mut Vec<u8>) {
+                let $ty($field) = self;
+                $field.encode(out);
+            }
+            fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
+                Ok($ty(Wire::decode(r)?))
+            }
+        }
+    };
 }
+
+/// Declares an enum's layout: one tag byte per variant, then the
+/// variant's fields in wire order. A variant is a unit (`Fifo`), a struct
+/// (`JoinReq { gid }`) or a one-field tuple (`Cast(c)`); `$name` labels
+/// the `BadTag` error for an unknown tag.
+macro_rules! wire_enum {
+    ($name:literal, $ty:ident $(<$($g:ident),+>)? {
+        $($tag:literal => $var:ident $({ $($field:ident),* $(,)? })? $(($inner:ident))?),+ $(,)?
+    }) => {
+        impl$(<$($g: Wire),+>)? Wire for $ty$(<$($g),+>)? {
+            fn encode(&self, out: &mut Vec<u8>) {
+                match self {
+                    $(Self::$var $({ $($field),* })? $(($inner))? => {
+                        out.push($tag);
+                        $($($field.encode(out);)*)?
+                        $($inner.encode(out);)?
+                    })+
+                }
+            }
+            #[deny(unreachable_patterns)]
+            fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
+                Ok(match r.u8()? {
+                    $($tag => Self::$var
+                        $({ $($field: Wire::decode(r)?),* })?
+                        $(({
+                            // Naming `$inner` is what selects the tuple form.
+                            let $inner = Wire::decode(r)?;
+                            $inner
+                        }))?,)+
+                    t => return Err(CodecError::BadTag($name, u64::from(t))),
+                })
+            }
+        }
+    };
+}
+
+// ------------------------------------------------------------- identifiers --
+
+wire_struct!(Pid(p));
+wire_struct!(GroupId(g));
+wire_struct!(LargeGroupId(g));
+wire_struct!(LbcastId { origin, seq });
+wire_struct!(MsgId { sender, view, stream, seq });
+wire_struct!(GroupView { gid, view_id, members });
 
 // -------------------------------------------------------------- isis-core --
 
-impl Wire for StabilityVector {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.view.encode(out);
-        self.cvt.encode(out);
-        self.fvt.encode(out);
-        self.adel.encode(out);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
-        Ok(StabilityVector {
-            view: r.u64()?,
-            cvt: VClock::decode(r)?,
-            fvt: VClock::decode(r)?,
-            adel: r.u64()?,
-        })
-    }
-}
+wire_enum!("cast_kind", CastKind { 0 => Fifo, 1 => Causal, 2 => Total });
+wire_struct!(StabilityVector { view, cvt, fvt, adel });
+wire_struct!(CastData<P> { gid, view, kind, id, vt, stab, want_ack, payload });
+wire_struct!(RelaySet<P> { causal, fifo, total_ordered, total_unordered });
+wire_struct!(DeliveryFloor { cvt, fdel, adel, delivered });
 
-impl<P: Wire> Wire for CastData<P> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.gid.encode(out);
-        self.view.encode(out);
-        self.kind.encode(out);
-        self.id.encode(out);
-        self.vt.encode(out);
-        self.stab.encode(out);
-        self.want_ack.encode(out);
-        self.payload.encode(out);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
-        Ok(CastData {
-            gid: GroupId::decode(r)?,
-            view: r.u64()?,
-            kind: CastKind::decode(r)?,
-            id: MsgId::decode(r)?,
-            vt: VClock::decode(r)?,
-            stab: StabilityVector::decode(r)?,
-            want_ack: bool::decode(r)?,
-            payload: P::decode(r)?,
-        })
-    }
-}
-
-impl<P: Wire> Wire for RelaySet<P> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.causal.encode(out);
-        self.fifo.encode(out);
-        self.total_ordered.encode(out);
-        self.total_unordered.encode(out);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
-        Ok(RelaySet {
-            causal: Vec::decode(r)?,
-            fifo: Vec::decode(r)?,
-            total_ordered: Vec::decode(r)?,
-            total_unordered: Vec::decode(r)?,
-        })
-    }
-}
-
-impl Wire for DeliveryFloor {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.cvt.encode(out);
-        self.fdel.encode(out);
-        self.adel.encode(out);
-        self.delivered.encode(out);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
-        Ok(DeliveryFloor {
-            cvt: VClock::decode(r)?,
-            fdel: VClock::decode(r)?,
-            adel: r.u64()?,
-            delivered: Vec::decode(r)?,
-        })
-    }
-}
-
-impl<P: Wire, S: Wire> Wire for IsisMsg<P, S> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            IsisMsg::JoinReq { gid } => {
-                out.push(0);
-                gid.encode(out);
-            }
-            IsisMsg::JoinForward { gid, joiner } => {
-                out.push(1);
-                gid.encode(out);
-                joiner.encode(out);
-            }
-            IsisMsg::JoinDenied { gid } => {
-                out.push(2);
-                gid.encode(out);
-            }
-            IsisMsg::LeaveReq { gid } => {
-                out.push(3);
-                gid.encode(out);
-            }
-            IsisMsg::SuspectReport { gid, suspect } => {
-                out.push(4);
-                gid.encode(out);
-                suspect.encode(out);
-            }
-            IsisMsg::Flush {
-                gid,
-                attempt,
-                proposal,
-            } => {
-                out.push(5);
-                gid.encode(out);
-                attempt.encode(out);
-                proposal.encode(out);
-            }
-            IsisMsg::FlushAck {
-                gid,
-                attempt,
-                member_view,
-                stab,
-                buffers,
-            } => {
-                out.push(6);
-                gid.encode(out);
-                attempt.encode(out);
-                member_view.encode(out);
-                stab.encode(out);
-                buffers.encode(out);
-            }
-            IsisMsg::InstallView {
-                gid,
-                attempt,
-                view,
-                relay,
-                state,
-                floor,
-            } => {
-                out.push(7);
-                gid.encode(out);
-                attempt.encode(out);
-                view.encode(out);
-                relay.encode(out);
-                state.encode(out);
-                floor.encode(out);
-            }
-            IsisMsg::Cast(c) => {
-                out.push(8);
-                c.encode(out);
-            }
-            IsisMsg::AbcastOrder {
-                gid,
-                view,
-                gseq,
-                id,
-            } => {
-                out.push(9);
-                gid.encode(out);
-                view.encode(out);
-                gseq.encode(out);
-                id.encode(out);
-            }
-            IsisMsg::CastAck { gid, id } => {
-                out.push(10);
-                gid.encode(out);
-                id.encode(out);
-            }
-            IsisMsg::Heartbeat { gid, stab } => {
-                out.push(11);
-                gid.encode(out);
-                stab.encode(out);
-            }
-            IsisMsg::Direct(p) => {
-                out.push(12);
-                p.encode(out);
-            }
-        }
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
-        Ok(match r.u8()? {
-            0 => IsisMsg::JoinReq {
-                gid: GroupId::decode(r)?,
-            },
-            1 => IsisMsg::JoinForward {
-                gid: GroupId::decode(r)?,
-                joiner: Pid::decode(r)?,
-            },
-            2 => IsisMsg::JoinDenied {
-                gid: GroupId::decode(r)?,
-            },
-            3 => IsisMsg::LeaveReq {
-                gid: GroupId::decode(r)?,
-            },
-            4 => IsisMsg::SuspectReport {
-                gid: GroupId::decode(r)?,
-                suspect: Pid::decode(r)?,
-            },
-            5 => IsisMsg::Flush {
-                gid: GroupId::decode(r)?,
-                attempt: r.u64()?,
-                proposal: GroupView::decode(r)?,
-            },
-            6 => IsisMsg::FlushAck {
-                gid: GroupId::decode(r)?,
-                attempt: r.u64()?,
-                member_view: r.u64()?,
-                stab: StabilityVector::decode(r)?,
-                buffers: RelaySet::decode(r)?,
-            },
-            7 => IsisMsg::InstallView {
-                gid: GroupId::decode(r)?,
-                attempt: r.u64()?,
-                view: GroupView::decode(r)?,
-                relay: RelaySet::decode(r)?,
-                state: Option::decode(r)?,
-                floor: Option::decode(r)?,
-            },
-            8 => IsisMsg::Cast(CastData::decode(r)?),
-            9 => IsisMsg::AbcastOrder {
-                gid: GroupId::decode(r)?,
-                view: r.u64()?,
-                gseq: r.u64()?,
-                id: MsgId::decode(r)?,
-            },
-            10 => IsisMsg::CastAck {
-                gid: GroupId::decode(r)?,
-                id: MsgId::decode(r)?,
-            },
-            11 => IsisMsg::Heartbeat {
-                gid: GroupId::decode(r)?,
-                stab: StabilityVector::decode(r)?,
-            },
-            12 => IsisMsg::Direct(P::decode(r)?),
-            t => return Err(CodecError::BadTag("isis_msg", u64::from(t))),
-        })
-    }
-}
+wire_enum!("isis_msg", IsisMsg<P, S> {
+    0 => JoinReq { gid },
+    1 => JoinForward { gid, joiner },
+    2 => JoinDenied { gid },
+    3 => LeaveReq { gid },
+    4 => SuspectReport { gid, suspect },
+    5 => Flush { gid, attempt, proposal },
+    6 => FlushAck { gid, attempt, member_view, stab, buffers },
+    7 => InstallView { gid, attempt, view, relay, state, floor },
+    8 => Cast(c),
+    9 => AbcastOrder { gid, view, gseq, id },
+    10 => CastAck { gid, id },
+    11 => Heartbeat { gid, stab },
+    12 => Direct(p),
+});
 
 // -------------------------------------------------------------- isis-hier --
 
-impl Wire for LbcastStatus {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            LbcastStatus::Resilient => 0,
-            LbcastStatus::Complete => 1,
-        });
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
-        match r.u8()? {
-            0 => Ok(LbcastStatus::Resilient),
-            1 => Ok(LbcastStatus::Complete),
-            t => Err(CodecError::BadTag("lbcast_status", u64::from(t))),
-        }
-    }
-}
+wire_enum!("lbcast_status", LbcastStatus { 0 => Resilient, 1 => Complete });
+wire_struct!(LeafDesc { gid, contacts, size });
+wire_struct!(HierView { lgid, epoch, fanout, resiliency, leaves, leader_contacts });
+wire_struct!(RoutingSlice {
+    lgid,
+    epoch,
+    my_index,
+    num_leaves,
+    resiliency,
+    fanout,
+    my_gid,
+    parent,
+    children,
+    leader_contacts,
+});
 
-impl Wire for LeafDesc {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.gid.encode(out);
-        self.contacts.encode(out);
-        self.size.encode(out);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
-        Ok(LeafDesc {
-            gid: GroupId::decode(r)?,
-            contacts: Vec::decode(r)?,
-            size: usize::decode(r)?,
-        })
-    }
-}
+wire_enum!("tree_msg", TreeMsg<Q> {
+    0 => Submit { lgid, id, payload },
+    1 => Forward { lgid, epoch, lseq, id, payload },
+    2 => LeafDeliver { lgid, epoch, lseq, id, ack_to, payload },
+    3 => MemberAck { lgid, lseq },
+    4 => SubtreeAck { lgid, epoch, lseq, leaf },
+    5 => OriginAck { lgid, id, status },
+});
 
-impl Wire for HierView {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.lgid.encode(out);
-        self.epoch.encode(out);
-        self.fanout.encode(out);
-        self.resiliency.encode(out);
-        self.leaves.encode(out);
-        self.leader_contacts.encode(out);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
-        Ok(HierView {
-            lgid: LargeGroupId::decode(r)?,
-            epoch: r.u64()?,
-            fanout: usize::decode(r)?,
-            resiliency: usize::decode(r)?,
-            leaves: Vec::decode(r)?,
-            leader_contacts: Vec::decode(r)?,
-        })
-    }
-}
+wire_enum!("ctl_msg", CtlMsg {
+    0 => JoinLargeReq { lgid },
+    1 => JoinAssign { lgid, leaf, contacts },
+    2 => JoinCreateLeaf { lgid, leaf },
+    3 => JoinLargeDenied { lgid },
+    4 => ContactsUpdate { lgid, leaf, contacts, size },
+    5 => LeafDeadReport { lgid, leaf },
+    6 => HierPush { view },
+    7 => SplitLeaf { lgid, leaf, new_leaf },
+    8 => DoSplit { lgid, new_leaf, movers, leader_contacts },
+    9 => DissolveLeaf { lgid, leaf, target, target_contacts },
+    10 => DoDissolve { lgid, target, target_contacts, leader_contacts },
+    11 => LeafBeacon { lgid, leaf, epoch, contacts },
+    12 => SlicePush { slice },
+});
 
-impl Wire for RoutingSlice {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.lgid.encode(out);
-        self.epoch.encode(out);
-        self.my_index.encode(out);
-        self.num_leaves.encode(out);
-        self.resiliency.encode(out);
-        self.fanout.encode(out);
-        self.my_gid.encode(out);
-        self.parent.encode(out);
-        self.children.encode(out);
-        self.leader_contacts.encode(out);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
-        Ok(RoutingSlice {
-            lgid: LargeGroupId::decode(r)?,
-            epoch: r.u64()?,
-            my_index: usize::decode(r)?,
-            num_leaves: usize::decode(r)?,
-            resiliency: usize::decode(r)?,
-            fanout: usize::decode(r)?,
-            my_gid: GroupId::decode(r)?,
-            parent: Option::decode(r)?,
-            children: Vec::decode(r)?,
-            leader_contacts: Vec::decode(r)?,
-        })
-    }
-}
+wire_enum!("leader_cmd", LeaderCmd {
+    0 => Assign { lgid, joiner },
+    1 => MintLeaf { lgid, founder },
+    2 => Contacts { lgid, leaf, contacts, size },
+    3 => LeafDead { lgid, leaf },
+    4 => Split { lgid, leaf },
+    5 => Dissolve { lgid, leaf, target },
+});
 
-impl<Q: Wire> Wire for TreeMsg<Q> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            TreeMsg::Submit { lgid, id, payload } => {
-                out.push(0);
-                lgid.encode(out);
-                id.encode(out);
-                payload.encode(out);
-            }
-            TreeMsg::Forward {
-                lgid,
-                epoch,
-                lseq,
-                id,
-                payload,
-            } => {
-                out.push(1);
-                lgid.encode(out);
-                epoch.encode(out);
-                lseq.encode(out);
-                id.encode(out);
-                payload.encode(out);
-            }
-            TreeMsg::LeafDeliver {
-                lgid,
-                epoch,
-                lseq,
-                id,
-                ack_to,
-                payload,
-            } => {
-                out.push(2);
-                lgid.encode(out);
-                epoch.encode(out);
-                lseq.encode(out);
-                id.encode(out);
-                ack_to.encode(out);
-                payload.encode(out);
-            }
-            TreeMsg::MemberAck { lgid, lseq } => {
-                out.push(3);
-                lgid.encode(out);
-                lseq.encode(out);
-            }
-            TreeMsg::SubtreeAck {
-                lgid,
-                epoch,
-                lseq,
-                leaf,
-            } => {
-                out.push(4);
-                lgid.encode(out);
-                epoch.encode(out);
-                lseq.encode(out);
-                leaf.encode(out);
-            }
-            TreeMsg::OriginAck { lgid, id, status } => {
-                out.push(5);
-                lgid.encode(out);
-                id.encode(out);
-                status.encode(out);
-            }
-        }
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
-        Ok(match r.u8()? {
-            0 => TreeMsg::Submit {
-                lgid: LargeGroupId::decode(r)?,
-                id: LbcastId::decode(r)?,
-                payload: Q::decode(r)?,
-            },
-            1 => TreeMsg::Forward {
-                lgid: LargeGroupId::decode(r)?,
-                epoch: r.u64()?,
-                lseq: r.u64()?,
-                id: LbcastId::decode(r)?,
-                payload: Q::decode(r)?,
-            },
-            2 => TreeMsg::LeafDeliver {
-                lgid: LargeGroupId::decode(r)?,
-                epoch: r.u64()?,
-                lseq: r.u64()?,
-                id: LbcastId::decode(r)?,
-                ack_to: Option::decode(r)?,
-                payload: Q::decode(r)?,
-            },
-            3 => TreeMsg::MemberAck {
-                lgid: LargeGroupId::decode(r)?,
-                lseq: r.u64()?,
-            },
-            4 => TreeMsg::SubtreeAck {
-                lgid: LargeGroupId::decode(r)?,
-                epoch: r.u64()?,
-                lseq: r.u64()?,
-                leaf: GroupId::decode(r)?,
-            },
-            5 => TreeMsg::OriginAck {
-                lgid: LargeGroupId::decode(r)?,
-                id: LbcastId::decode(r)?,
-                status: LbcastStatus::decode(r)?,
-            },
-            t => return Err(CodecError::BadTag("tree_msg", u64::from(t))),
-        })
-    }
-}
+wire_enum!("hier_payload", HierPayload<Q> { 0 => Biz(q), 1 => Tree(t), 2 => Ctl(c), 3 => Cmd(c) });
 
-impl Wire for CtlMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            CtlMsg::JoinLargeReq { lgid } => {
-                out.push(0);
-                lgid.encode(out);
-            }
-            CtlMsg::JoinAssign {
-                lgid,
-                leaf,
-                contacts,
-            } => {
-                out.push(1);
-                lgid.encode(out);
-                leaf.encode(out);
-                contacts.encode(out);
-            }
-            CtlMsg::JoinCreateLeaf { lgid, leaf } => {
-                out.push(2);
-                lgid.encode(out);
-                leaf.encode(out);
-            }
-            CtlMsg::JoinLargeDenied { lgid } => {
-                out.push(3);
-                lgid.encode(out);
-            }
-            CtlMsg::ContactsUpdate {
-                lgid,
-                leaf,
-                contacts,
-                size,
-            } => {
-                out.push(4);
-                lgid.encode(out);
-                leaf.encode(out);
-                contacts.encode(out);
-                size.encode(out);
-            }
-            CtlMsg::LeafDeadReport { lgid, leaf } => {
-                out.push(5);
-                lgid.encode(out);
-                leaf.encode(out);
-            }
-            CtlMsg::HierPush { view } => {
-                out.push(6);
-                view.encode(out);
-            }
-            CtlMsg::SplitLeaf {
-                lgid,
-                leaf,
-                new_leaf,
-            } => {
-                out.push(7);
-                lgid.encode(out);
-                leaf.encode(out);
-                new_leaf.encode(out);
-            }
-            CtlMsg::DoSplit {
-                lgid,
-                new_leaf,
-                movers,
-                leader_contacts,
-            } => {
-                out.push(8);
-                lgid.encode(out);
-                new_leaf.encode(out);
-                movers.encode(out);
-                leader_contacts.encode(out);
-            }
-            CtlMsg::DissolveLeaf {
-                lgid,
-                leaf,
-                target,
-                target_contacts,
-            } => {
-                out.push(9);
-                lgid.encode(out);
-                leaf.encode(out);
-                target.encode(out);
-                target_contacts.encode(out);
-            }
-            CtlMsg::DoDissolve {
-                lgid,
-                target,
-                target_contacts,
-                leader_contacts,
-            } => {
-                out.push(10);
-                lgid.encode(out);
-                target.encode(out);
-                target_contacts.encode(out);
-                leader_contacts.encode(out);
-            }
-            CtlMsg::LeafBeacon {
-                lgid,
-                leaf,
-                epoch,
-                contacts,
-            } => {
-                out.push(11);
-                lgid.encode(out);
-                leaf.encode(out);
-                epoch.encode(out);
-                contacts.encode(out);
-            }
-            CtlMsg::SlicePush { slice } => {
-                out.push(12);
-                slice.encode(out);
-            }
-        }
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
-        Ok(match r.u8()? {
-            0 => CtlMsg::JoinLargeReq {
-                lgid: LargeGroupId::decode(r)?,
-            },
-            1 => CtlMsg::JoinAssign {
-                lgid: LargeGroupId::decode(r)?,
-                leaf: GroupId::decode(r)?,
-                contacts: Vec::decode(r)?,
-            },
-            2 => CtlMsg::JoinCreateLeaf {
-                lgid: LargeGroupId::decode(r)?,
-                leaf: GroupId::decode(r)?,
-            },
-            3 => CtlMsg::JoinLargeDenied {
-                lgid: LargeGroupId::decode(r)?,
-            },
-            4 => CtlMsg::ContactsUpdate {
-                lgid: LargeGroupId::decode(r)?,
-                leaf: GroupId::decode(r)?,
-                contacts: Vec::decode(r)?,
-                size: usize::decode(r)?,
-            },
-            5 => CtlMsg::LeafDeadReport {
-                lgid: LargeGroupId::decode(r)?,
-                leaf: GroupId::decode(r)?,
-            },
-            6 => CtlMsg::HierPush {
-                view: Arc::new(HierView::decode(r)?),
-            },
-            7 => CtlMsg::SplitLeaf {
-                lgid: LargeGroupId::decode(r)?,
-                leaf: GroupId::decode(r)?,
-                new_leaf: GroupId::decode(r)?,
-            },
-            8 => CtlMsg::DoSplit {
-                lgid: LargeGroupId::decode(r)?,
-                new_leaf: GroupId::decode(r)?,
-                movers: Vec::decode(r)?,
-                leader_contacts: Vec::decode(r)?,
-            },
-            9 => CtlMsg::DissolveLeaf {
-                lgid: LargeGroupId::decode(r)?,
-                leaf: GroupId::decode(r)?,
-                target: GroupId::decode(r)?,
-                target_contacts: Vec::decode(r)?,
-            },
-            10 => CtlMsg::DoDissolve {
-                lgid: LargeGroupId::decode(r)?,
-                target: GroupId::decode(r)?,
-                target_contacts: Vec::decode(r)?,
-                leader_contacts: Vec::decode(r)?,
-            },
-            11 => CtlMsg::LeafBeacon {
-                lgid: LargeGroupId::decode(r)?,
-                leaf: GroupId::decode(r)?,
-                epoch: r.u64()?,
-                contacts: Vec::decode(r)?,
-            },
-            12 => CtlMsg::SlicePush {
-                slice: Box::new(RoutingSlice::decode(r)?),
-            },
-            t => return Err(CodecError::BadTag("ctl_msg", u64::from(t))),
-        })
-    }
-}
-
-impl Wire for LeaderCmd {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            LeaderCmd::Assign { lgid, joiner } => {
-                out.push(0);
-                lgid.encode(out);
-                joiner.encode(out);
-            }
-            LeaderCmd::MintLeaf { lgid, founder } => {
-                out.push(1);
-                lgid.encode(out);
-                founder.encode(out);
-            }
-            LeaderCmd::Contacts {
-                lgid,
-                leaf,
-                contacts,
-                size,
-            } => {
-                out.push(2);
-                lgid.encode(out);
-                leaf.encode(out);
-                contacts.encode(out);
-                size.encode(out);
-            }
-            LeaderCmd::LeafDead { lgid, leaf } => {
-                out.push(3);
-                lgid.encode(out);
-                leaf.encode(out);
-            }
-            LeaderCmd::Split { lgid, leaf } => {
-                out.push(4);
-                lgid.encode(out);
-                leaf.encode(out);
-            }
-            LeaderCmd::Dissolve { lgid, leaf, target } => {
-                out.push(5);
-                lgid.encode(out);
-                leaf.encode(out);
-                target.encode(out);
-            }
-        }
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
-        Ok(match r.u8()? {
-            0 => LeaderCmd::Assign {
-                lgid: LargeGroupId::decode(r)?,
-                joiner: Pid::decode(r)?,
-            },
-            1 => LeaderCmd::MintLeaf {
-                lgid: LargeGroupId::decode(r)?,
-                founder: Pid::decode(r)?,
-            },
-            2 => LeaderCmd::Contacts {
-                lgid: LargeGroupId::decode(r)?,
-                leaf: GroupId::decode(r)?,
-                contacts: Vec::decode(r)?,
-                size: usize::decode(r)?,
-            },
-            3 => LeaderCmd::LeafDead {
-                lgid: LargeGroupId::decode(r)?,
-                leaf: GroupId::decode(r)?,
-            },
-            4 => LeaderCmd::Split {
-                lgid: LargeGroupId::decode(r)?,
-                leaf: GroupId::decode(r)?,
-            },
-            5 => LeaderCmd::Dissolve {
-                lgid: LargeGroupId::decode(r)?,
-                leaf: GroupId::decode(r)?,
-                target: GroupId::decode(r)?,
-            },
-            t => return Err(CodecError::BadTag("leader_cmd", u64::from(t))),
-        })
-    }
-}
-
-impl<Q: Wire> Wire for HierPayload<Q> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            HierPayload::Biz(q) => {
-                out.push(0);
-                q.encode(out);
-            }
-            HierPayload::Tree(t) => {
-                out.push(1);
-                t.encode(out);
-            }
-            HierPayload::Ctl(c) => {
-                out.push(2);
-                c.encode(out);
-            }
-            HierPayload::Cmd(c) => {
-                out.push(3);
-                c.encode(out);
-            }
-        }
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
-        Ok(match r.u8()? {
-            0 => HierPayload::Biz(Q::decode(r)?),
-            1 => HierPayload::Tree(TreeMsg::decode(r)?),
-            2 => HierPayload::Ctl(CtlMsg::decode(r)?),
-            3 => HierPayload::Cmd(LeaderCmd::decode(r)?),
-            t => return Err(CodecError::BadTag("hier_payload", u64::from(t))),
-        })
-    }
-}
-
-impl<S: Wire> Wire for HierState<S> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            HierState::None => out.push(0),
-            HierState::Leaf(s) => {
-                out.push(1);
-                s.encode(out);
-            }
-            HierState::Leader {
-                view,
-                next_slot,
-                resiliency,
-                min_leaf,
-                max_leaf,
-            } => {
-                out.push(2);
-                view.encode(out);
-                next_slot.encode(out);
-                resiliency.encode(out);
-                min_leaf.encode(out);
-                max_leaf.encode(out);
-            }
-        }
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
-        Ok(match r.u8()? {
-            0 => HierState::None,
-            1 => HierState::Leaf(S::decode(r)?),
-            2 => HierState::Leader {
-                view: HierView::decode(r)?,
-                next_slot: r.u32()?,
-                resiliency: usize::decode(r)?,
-                min_leaf: usize::decode(r)?,
-                max_leaf: usize::decode(r)?,
-            },
-            t => return Err(CodecError::BadTag("hier_state", u64::from(t))),
-        })
-    }
-}
+wire_enum!("hier_state", HierState<S> {
+    0 => None,
+    1 => Leaf(s),
+    2 => Leader { view, next_slot, resiliency, min_leaf, max_leaf },
+});
