@@ -9,15 +9,17 @@
 #      violation anywhere in the stack fails the gate; its tables (everything
 #      above the `sweep wall-clock` line) must match
 #      tests/golden/experiments_quick.txt byte for byte,
-#   5. the benchmark crate (`perf/`, a workspace of its own that path-depends
+#   5. monitor-armed full experiment sweep: the same, at full size, its
+#      tables checked against experiments_full.txt,
+#   6. the benchmark crate (`perf/`, a workspace of its own that path-depends
 #      on these crates): its tests, then every workload in smoke mode —
 #      gated on the output oracles only, never on its times,
-#   6. trace demo + Chrome export artifacts (tracectl smoke test),
-#   7. now-cluster loopback smoke: the real-socket backend boots an 8-process
+#   7. trace demo + Chrome export artifacts (tracectl smoke test),
+#   8. now-cluster loopback smoke: the real-socket backend boots an 8-process
 #      hierarchy over unix sockets, then again over loopback TCP (`--tcp`),
 #      replays short E1/E9 runs, and the merged trace must show zero
 #      virtual-synchrony violations (non-zero exit otherwise),
-#   8. chaos sweep: replay the shrunk-counterexample regression corpus, then
+#   9. chaos sweep: replay the shrunk-counterexample regression corpus, then
 #      1000 generated adversarial scenarios (correlated crashes, partition
 #      flaps, storms, rep-chain kills, crash-recover churn) with the
 #      monitors — including VS-REJOIN — armed as oracles — any violation
@@ -26,7 +28,7 @@
 #      tests/golden/chaos_sweep_1000_seed1.txt byte for byte, and the
 #      coverage census it writes to artifacts must be byte-identical
 #      (`cmp`) to tests/golden/chaos_census_1000_seed1.json,
-#   9. the determinism linter, emitting its machine-readable report.
+#  10. the determinism linter, emitting its machine-readable report.
 # Fails on the first broken step or on any non-allowlisted lint finding.
 # Artifacts land in BENCH_artifacts/.
 set -euo pipefail
@@ -49,6 +51,13 @@ QUICK=1 NOW_MONITORS=1 cargo run --quiet --release -p isis-bench --bin all_exper
 echo "==> experiment tables vs tests/golden/experiments_quick.txt"
 sed '/^sweep wall-clock/,$d' BENCH_artifacts/experiments_quick.txt \
     | diff -u tests/golden/experiments_quick.txt -
+
+echo "==> NOW_MONITORS=1 all_experiments (full sweep, invariant monitors armed)"
+NOW_MONITORS=1 cargo run --quiet --release -p isis-bench --bin all_experiments \
+    | tee BENCH_artifacts/experiments_full.txt
+echo "==> experiment tables vs experiments_full.txt"
+diff -u <(sed '/^sweep wall-clock/,$d' experiments_full.txt) \
+    <(sed '/^sweep wall-clock/,$d' BENCH_artifacts/experiments_full.txt)
 
 echo "==> perf/: tests + every workload in smoke mode (output oracles only)"
 # perf/ builds against these crates' public API but lives outside the

@@ -200,15 +200,6 @@ pub(crate) struct GroupRuntime<A: Application> {
     cvt: VClock,
     /// Delivered FIFO casts per sender.
     fdel: VClock,
-    /// Highest delivered ABCAST `seq` per sender, for each view this member
-    /// delivered ABCASTs of. One sequencer per view and FIFO channels make
-    /// a sender's ABCASTs deliver in `seq` order, so an id at or below its
-    /// sender's mark is one this member delivered: that is how it
-    /// recognises total-order ids, which never enter `delivered_ids`.
-    /// Never reset or pruned: a flush may relay an old view's ABCAST long
-    /// after stability pruned it here (see [`GroupRuntime::gc_stability`]).
-    /// It costs one entry per sender and view, not one per message.
-    tdel: BTreeMap<ViewId, VClock>,
     /// Highest contiguously delivered ABCAST global sequence.
     adel: u64,
     pending_causal: Vec<PendingCast<A::Payload>>,
@@ -229,8 +220,20 @@ pub(crate) struct GroupRuntime<A: Application> {
     /// `retained_total` may still hold an earlier view's entries; the first
     /// completed stability pass of the current view drops them.
     stale_total: bool,
-    /// Delivered causal and FIFO ids that stability has not pruned yet.
-    delivered_ids: BTreeSet<MsgId>,
+
+    // --- delivery record (never reset or pruned) ---
+    /// Highest delivered `seq` per sender, for each view and stream this
+    /// member delivered casts of. Within a view every stream delivers a
+    /// sender's casts in `seq` order (causal and FIFO by their delivery
+    /// conditions, ABCAST through the view's one sequencer and FIFO
+    /// channels), so an id at or below its sender's mark is one this member
+    /// delivered. Kept for the group's lifetime: a flush may relay an old
+    /// view's cast long after stability pruned it here (see
+    /// [`GroupRuntime::gc_stability`]), and a stale duplicate may arrive
+    /// after that. It costs one entry per sender, view and stream, not one
+    /// per message. For the current view the causal and FIFO marks equal
+    /// `cvt` and `fdel`.
+    marks: BTreeMap<(ViewId, u8), VClock>,
 
     // --- stability ---
     stab_seen: BTreeMap<Pid, StabilityVector>,
@@ -253,10 +256,13 @@ pub(crate) struct GroupRuntime<A: Application> {
     // --- reordering across views ---
     pub(crate) future_inbox: Vec<(Pid, MsgOf<A>)>,
 
-    /// True while [`GroupRuntime::apply_relay`] is delivering flush catch-up
-    /// messages; marks those trace deliveries as relays (exempt from the
-    /// per-view ordering monitors, which is correct: relays *are* the
-    /// virtual-synchrony cut).
+    /// True from [`GroupRuntime::apply_relay`] until the
+    /// [`GroupRuntime::install`] that must follow it; marks the relay's
+    /// trace deliveries as relays (exempt from the per-view ordering
+    /// monitors, which is correct: relays *are* the virtual-synchrony
+    /// cut). The held-back paths assert it is false: a relay leaves stale
+    /// entries in `pending_*`, `adata` and `aorder` that only the install
+    /// clears.
     in_relay: bool,
 
     /// True when a stability input (a delivery, a peer snapshot, the view)
@@ -287,7 +293,6 @@ impl<A: Application> GroupRuntime<A> {
             wedged_outbox: Vec::new(),
             cvt: VClock::new(),
             fdel: VClock::new(),
-            tdel: BTreeMap::new(),
             adel: 0,
             pending_causal: Vec::new(),
             pending_fifo: BTreeMap::new(),
@@ -299,7 +304,7 @@ impl<A: Application> GroupRuntime<A> {
             retained_fifo: BTreeMap::new(),
             retained_total: BTreeMap::new(),
             stale_total: false,
-            delivered_ids: BTreeSet::new(),
+            marks: BTreeMap::new(),
             stab_seen: BTreeMap::new(),
             last_heard: BTreeMap::new(),
             suspects: BTreeSet::new(),
@@ -322,17 +327,20 @@ impl<A: Application> GroupRuntime<A> {
     /// exported state snapshot so a joiner install carries a consistent
     /// `(state, floor)` pair.
     pub(crate) fn delivery_floor(&self) -> DeliveryFloor {
-        // The ABCAST marks travel as each sender's last delivered id per
-        // view, from which the joiner rebuilds them.
-        let marks = self.tdel.iter().flat_map(|(&view, m)| {
-            m.iter().map(move |(sender, seq)| MsgId {
-                sender,
-                view,
-                stream: CastKind::Total.stream(),
-                seq,
+        // The marks travel as each sender's last delivered id per view and
+        // stream, from which the joiner rebuilds them.
+        let mut delivered: Vec<MsgId> = self
+            .marks
+            .iter()
+            .flat_map(|(&(view, stream), m)| {
+                m.iter().map(move |(sender, seq)| MsgId {
+                    sender,
+                    view,
+                    stream,
+                    seq,
+                })
             })
-        });
-        let mut delivered: Vec<MsgId> = self.delivered_ids.iter().copied().chain(marks).collect();
+            .collect();
         delivered.sort_unstable();
         DeliveryFloor {
             cvt: self.cvt.clone(),
@@ -351,13 +359,8 @@ impl<A: Application> GroupRuntime<A> {
         self.fdel = f.fdel;
         self.adel = f.adel;
         self.next_gseq = self.adel + 1;
-        let (total, other): (Vec<MsgId>, Vec<MsgId>) = f
-            .delivered
-            .into_iter()
-            .partition(|id| id.stream == CastKind::Total.stream());
-        self.delivered_ids = other.into_iter().collect();
-        for id in total {
-            self.mark_total(id);
+        for id in f.delivered {
+            self.mark(id);
         }
     }
 
@@ -440,62 +443,40 @@ impl<A: Application> GroupRuntime<A> {
         if want_ack {
             self.ack_counts.insert(id, 0);
         }
-        let tgid = self.gid.0;
-        match kind {
+        let vt = match kind {
+            // Stamp with the post-send vector: own entry counts this
+            // message itself (standard CBCAST self-delivery).
             CastKind::Causal => {
-                // Stamp with the post-send vector: own entry counts this
-                // message itself (standard CBCAST self-delivery).
                 self.cvt.set(self.me, id.seq);
-                let vt = self.cvt.clone();
-                env.ctx.trace_with(|| TraceKind::CastSend {
-                    gid: tgid,
-                    msg: trace_key(&id),
-                    vt: trace_vt(&vt),
-                });
-                self.deliver_causal_local(id, vt.clone(), payload.clone(), env);
-                let data = self.make_cast(CastKind::Causal, id, vt, want_ack, payload);
-                env.multicast(self.peers(), IsisMsg::Cast(data));
+                self.cvt.clone()
             }
-            CastKind::Fifo => {
-                self.fdel.set(self.me, id.seq);
-                env.ctx.trace_with(|| TraceKind::CastSend {
-                    gid: tgid,
-                    msg: trace_key(&id),
-                    vt: Vec::new(),
-                });
-                self.deliver_fifo_local(id, payload.clone(), env);
-                let data = self.make_cast(CastKind::Fifo, id, VClock::new(), want_ack, payload);
-                env.multicast(self.peers(), IsisMsg::Cast(data));
+            CastKind::Fifo | CastKind::Total => VClock::new(),
+        };
+        let tgid = self.gid.0;
+        env.ctx.trace_with(|| TraceKind::CastSend {
+            gid: tgid,
+            msg: trace_key(&id),
+            vt: trace_vt(&vt),
+        });
+        if kind == CastKind::Total {
+            // Even the sender must wait for the global order.
+            let pc = PendingCast {
+                id,
+                vt: VClock::new(),
+                payload: payload.clone(),
+                want_ack,
+            };
+            self.adata.insert(id, pc);
+        } else {
+            self.deliver(id, kind, 0, vt.clone(), payload.clone(), env);
+        }
+        let data = self.make_cast(kind, id, vt, want_ack, payload);
+        env.multicast(self.peers(), IsisMsg::Cast(data));
+        if kind == CastKind::Total {
+            if self.i_am_sequencer() {
+                self.assign_order(id, env);
             }
-            CastKind::Total => {
-                env.ctx.trace_with(|| TraceKind::CastSend {
-                    gid: tgid,
-                    msg: trace_key(&id),
-                    vt: Vec::new(),
-                });
-                let data = self.make_cast(
-                    CastKind::Total,
-                    id,
-                    VClock::new(),
-                    want_ack,
-                    payload.clone(),
-                );
-                env.multicast(self.peers(), IsisMsg::Cast(data));
-                // Even the sender must wait for the global order.
-                self.adata.insert(
-                    id,
-                    PendingCast {
-                        id,
-                        vt: VClock::new(),
-                        payload,
-                        want_ack,
-                    },
-                );
-                if self.i_am_sequencer() {
-                    self.assign_order(id, env);
-                }
-                self.try_deliver_total(env);
-            }
+            self.try_deliver_total(env);
         }
         Ok(Some(id))
     }
@@ -559,7 +540,7 @@ impl<A: Application> GroupRuntime<A> {
             return None;
         }
         self.note_stab(from, &data.stab);
-        if self.delivered_ids.contains(&data.id) || self.total_delivered(&data.id) {
+        if self.delivered(&data.id) {
             env.ctx.bump("isis.recv.dup");
             return None;
         }
@@ -611,15 +592,16 @@ impl<A: Application> GroupRuntime<A> {
         None
     }
 
-    /// Whether `id` is an ABCAST this member already delivered (see `tdel`).
-    fn total_delivered(&self, id: &MsgId) -> bool {
-        id.stream == CastKind::Total.stream()
-            && self.tdel.get(&id.view).is_some_and(|m| id.seq <= m.get(id.sender))
+    /// Whether this member delivered `id` (see `marks`).
+    fn delivered(&self, id: &MsgId) -> bool {
+        self.marks
+            .get(&(id.view, id.stream))
+            .is_some_and(|m| id.seq <= m.get(id.sender))
     }
 
-    /// Records the delivery of ABCAST `id` (see `tdel`).
-    fn mark_total(&mut self, id: MsgId) {
-        let m = self.tdel.entry(id.view).or_default();
+    /// Records the delivery of `id` (see `marks`).
+    fn mark(&mut self, id: MsgId) {
+        let m = self.marks.entry((id.view, id.stream)).or_default();
         m.set(id.sender, id.seq.max(m.get(id.sender)));
     }
 
@@ -688,58 +670,16 @@ impl<A: Application> GroupRuntime<A> {
     // Delivery machinery
     // ------------------------------------------------------------------
 
-    fn deliver_causal_local(
+    /// Delivers `id` to the application and records it in `marks`. A
+    /// current-view cast advances its stream's delivery state and enters
+    /// its stream's relay buffer; an older view's cast (relayed by a flush
+    /// whose leader crashed mid-install) touches no current-view state.
+    fn deliver(
         &mut self,
         id: MsgId,
-        vt: VClock,
-        payload: A::Payload,
-        env: &mut Env<'_, '_, A>,
-    ) {
-        let (gid, view, relay) = (self.gid.0, self.view.view_id, self.in_relay);
-        env.ctx.trace_with(|| TraceKind::CastDeliver {
-            gid,
-            view,
-            msg: trace_key(&id),
-            gseq: 0,
-            relay,
-            vt: trace_vt(&vt),
-        });
-        self.delivered_ids.insert(id);
-        self.retained_causal.insert(id, (vt, payload.clone()));
-        self.stab_dirty = true;
-        env.effects.push(Effect::Deliver {
-            gid: self.gid,
-            from: id.sender,
-            kind: CastKind::Causal,
-            payload,
-        });
-    }
-
-    fn deliver_fifo_local(&mut self, id: MsgId, payload: A::Payload, env: &mut Env<'_, '_, A>) {
-        let (gid, view, relay) = (self.gid.0, self.view.view_id, self.in_relay);
-        env.ctx.trace_with(|| TraceKind::CastDeliver {
-            gid,
-            view,
-            msg: trace_key(&id),
-            gseq: 0,
-            relay,
-            vt: Vec::new(),
-        });
-        self.delivered_ids.insert(id);
-        self.retained_fifo.insert(id, payload.clone());
-        self.stab_dirty = true;
-        env.effects.push(Effect::Deliver {
-            gid: self.gid,
-            from: id.sender,
-            kind: CastKind::Fifo,
-            payload,
-        });
-    }
-
-    fn deliver_total_local(
-        &mut self,
+        kind: CastKind,
         gseq: u64,
-        id: MsgId,
+        vt: VClock,
         payload: A::Payload,
         env: &mut Env<'_, '_, A>,
     ) {
@@ -750,20 +690,50 @@ impl<A: Application> GroupRuntime<A> {
             msg: trace_key(&id),
             gseq,
             relay,
-            vt: Vec::new(),
+            vt: trace_vt(&vt),
         });
-        self.mark_total(id);
-        self.retained_total.insert(gseq, (id, payload.clone()));
+        self.mark(id);
         self.stab_dirty = true;
+        match kind {
+            _ if id.view != view => env.ctx.bump("isis.relay.crossview"),
+            CastKind::Causal => {
+                self.cvt.set(id.sender, id.seq);
+                self.retained_causal.insert(id, (vt, payload.clone()));
+            }
+            CastKind::Fifo => {
+                self.fdel.set(id.sender, id.seq);
+                self.retained_fifo.insert(id, payload.clone());
+            }
+            CastKind::Total => {
+                self.adel = gseq;
+                self.retained_total.insert(gseq, (id, payload.clone()));
+            }
+        }
         env.effects.push(Effect::Deliver {
             gid: self.gid,
             from: id.sender,
-            kind: CastKind::Total,
+            kind,
             payload,
         });
     }
 
-    fn ack_if_wanted(&mut self, id: MsgId, want_ack: bool, env: &mut Env<'_, '_, A>) {
+    /// Delivers a held-back cast whose ordering condition now holds, then
+    /// acks it if its sender asked.
+    fn deliver_pending(
+        &mut self,
+        pc: PendingCast<A::Payload>,
+        kind: CastKind,
+        gseq: u64,
+        env: &mut Env<'_, '_, A>,
+    ) {
+        let PendingCast {
+            id,
+            vt,
+            payload,
+            want_ack,
+        } = pc;
+        debug_assert!(!self.in_relay, "a relay ran without an install");
+        self.deliver(id, kind, gseq, vt, payload, env);
         if want_ack && id.sender != self.me {
             env.send(
                 id.sender,
@@ -783,9 +753,7 @@ impl<A: Application> GroupRuntime<A> {
                 .position(|pc| self.cvt.deliverable(pc.id.sender, &pc.vt));
             let Some(idx) = idx else { break };
             let pc = self.pending_causal.swap_remove(idx);
-            self.cvt.set(pc.id.sender, pc.id.seq);
-            self.deliver_causal_local(pc.id, pc.vt.clone(), pc.payload.clone(), env);
-            self.ack_if_wanted(pc.id, pc.want_ack, env);
+            self.deliver_pending(pc, CastKind::Causal, 0, env);
         }
     }
 
@@ -800,9 +768,7 @@ impl<A: Application> GroupRuntime<A> {
             });
             let Some(key) = next else { break };
             let pc = self.pending_fifo.remove(&key).expect("key just found");
-            self.fdel.set(pc.id.sender, pc.id.seq);
-            self.deliver_fifo_local(pc.id, pc.payload.clone(), env);
-            self.ack_if_wanted(pc.id, pc.want_ack, env);
+            self.deliver_pending(pc, CastKind::Fifo, 0, env);
         }
     }
 
@@ -816,16 +782,14 @@ impl<A: Application> GroupRuntime<A> {
                 break; // Data still in flight.
             };
             self.aorder.remove(&next);
-            self.adel = next;
-            self.deliver_total_local(next, id, pc.payload.clone(), env);
-            self.ack_if_wanted(pc.id, pc.want_ack, env);
+            self.deliver_pending(pc, CastKind::Total, next, env);
         }
     }
 
     /// Sequencer: assigns the next global sequence to `id` and announces
     /// the decision.
     fn assign_order(&mut self, id: MsgId, env: &mut Env<'_, '_, A>) {
-        if self.aseq_assigned.contains_key(&id) || self.total_delivered(&id) {
+        if self.aseq_assigned.contains_key(&id) || self.delivered(&id) {
             return;
         }
         let gseq = self.next_gseq;
@@ -903,10 +867,9 @@ impl<A: Application> GroupRuntime<A> {
             self.ack_counts.remove(&id);
         }
         self.aseq_assigned.retain(|_, gseq| *gseq > stable_a);
-        // Current-view causal and FIFO ids are stable at their sender's
-        // floor. An older view's ids outlive it by one view change, in case
-        // a flush leader died mid-install and relays them again; its relay
-        // buffers do not.
+        // Current-view causal and FIFO casts are stable at their sender's
+        // floor. An older view's relay buffers go now; its ack entries
+        // outlive it by one view change.
         let keep_id = |id: &MsgId| {
             if id.view != vid {
                 return id.view + 1 >= vid;
@@ -919,7 +882,6 @@ impl<A: Application> GroupRuntime<A> {
         };
         self.retained_causal.retain(|id, _| id.view >= vid && keep_id(id));
         self.retained_fifo.retain(|id, _| id.view >= vid && keep_id(id));
-        self.delivered_ids.retain(keep_id);
         self.ack_counts.retain(|id, _| keep_id(id));
         self.stab_dirty = false;
     }
@@ -927,6 +889,7 @@ impl<A: Application> GroupRuntime<A> {
     /// Collects everything unstable for a flush ack (see
     /// [`crate::membership`]).
     pub(crate) fn collect_unstable(&self) -> crate::msg::RelaySet<A::Payload> {
+        debug_assert!(!self.in_relay, "a relay ran without an install");
         let mut r = crate::msg::RelaySet::default();
         for (id, (vt, p)) in &self.retained_causal {
             r.causal.push((*id, vt.clone(), p.clone()));
@@ -958,7 +921,9 @@ impl<A: Application> GroupRuntime<A> {
 
     /// Applies a relay set (during a view change), delivering every message
     /// this member has not yet delivered, in a deterministic order that
-    /// extends causality.
+    /// extends causality. The held-back casts it delivers stay in
+    /// `pending_*`, `adata` and `aorder`: the caller either installs next,
+    /// which clears them, or drops the group, so they are never read.
     pub(crate) fn apply_relay(
         &mut self,
         relay: &crate::msg::RelaySet<A::Payload>,
@@ -970,109 +935,33 @@ impl<A: Application> GroupRuntime<A> {
         // causal order (vt sums strictly increase along causal chains).
         let mut causal: Vec<&(MsgId, VClock, A::Payload)> = relay.causal.iter().collect();
         causal.sort_by_key(|(id, vt, _)| (vt.sum(), id.sender, id.seq));
-        for (id, vt, p) in causal {
-            if self.delivered_ids.contains(id) {
-                continue;
-            }
-            if id.view == self.view.view_id {
-                if id.seq <= self.cvt.get(id.sender) {
-                    continue;
-                }
-                self.cvt.set(id.sender, id.seq);
-                self.deliver_causal_local(*id, vt.clone(), p.clone(), env);
-            } else {
-                // Cross-view relay (leader crashed mid-install): deliver to
-                // the application without touching current-view counters.
-                env.ctx.bump("isis.relay.crossview");
-                let (gid, view) = (self.gid.0, self.view.view_id);
-                env.ctx.trace_with(|| TraceKind::CastDeliver {
-                    gid,
-                    view,
-                    msg: trace_key(id),
-                    gseq: 0,
-                    relay: true,
-                    vt: trace_vt(vt),
-                });
-                self.delivered_ids.insert(*id);
-                env.effects.push(Effect::Deliver {
-                    gid: self.gid,
-                    from: id.sender,
-                    kind: CastKind::Causal,
-                    payload: p.clone(),
-                });
-            }
-        }
         let mut fifo: Vec<&(MsgId, A::Payload)> = relay.fifo.iter().collect();
         fifo.sort_by_key(|(id, _)| (id.sender, id.seq));
-        for (id, p) in fifo {
-            if self.delivered_ids.contains(id) {
-                continue;
-            }
-            if id.view == self.view.view_id {
-                if id.seq <= self.fdel.get(id.sender) {
-                    continue;
-                }
-                self.fdel.set(id.sender, id.seq);
-                self.deliver_fifo_local(*id, p.clone(), env);
-            } else {
-                env.ctx.bump("isis.relay.crossview");
-                let (gid, view) = (self.gid.0, self.view.view_id);
-                env.ctx.trace_with(|| TraceKind::CastDeliver {
-                    gid,
-                    view,
-                    msg: trace_key(id),
-                    gseq: 0,
-                    relay: true,
-                    vt: Vec::new(),
-                });
-                self.delivered_ids.insert(*id);
-                env.effects.push(Effect::Deliver {
-                    gid: self.gid,
-                    from: id.sender,
-                    kind: CastKind::Fifo,
-                    payload: p.clone(),
-                });
-            }
-        }
         let mut total: Vec<&(u64, MsgId, A::Payload)> = relay.total_ordered.iter().collect();
         total.sort_by_key(|(g, _, _)| *g);
-        for (gseq, id, p) in total {
-            if self.total_delivered(id) {
-                continue;
-            }
-            if id.view == self.view.view_id {
-                if *gseq <= self.adel {
-                    continue;
-                }
-                self.adel = *gseq;
-                self.adata.remove(id);
-                self.aorder.remove(gseq);
-                self.deliver_total_local(*gseq, *id, p.clone(), env);
-            } else {
-                env.ctx.bump("isis.relay.crossview");
-                let (gid, view) = (self.gid.0, self.view.view_id);
-                env.ctx.trace_with(|| TraceKind::CastDeliver {
-                    gid,
-                    view,
-                    msg: trace_key(id),
-                    gseq: *gseq,
-                    relay: true,
-                    vt: Vec::new(),
-                });
-                self.mark_total(*id);
-                env.effects.push(Effect::Deliver {
-                    gid: self.gid,
-                    from: id.sender,
-                    kind: CastKind::Total,
-                    payload: p.clone(),
-                });
+        let no_vt = VClock::new();
+        let casts = causal
+            .into_iter()
+            .map(|(id, vt, p)| (CastKind::Causal, 0, id, vt, p))
+            .chain(fifo.into_iter().map(|(id, p)| (CastKind::Fifo, 0, id, &no_vt, p)))
+            .chain(
+                total
+                    .into_iter()
+                    .map(|(g, id, p)| (CastKind::Total, *g, id, &no_vt, p)),
+            );
+        for (kind, gseq, id, vt, p) in casts {
+            // A current-view gseq at or below `adel` is taken, whatever id
+            // the relay pairs it with.
+            let taken =
+                kind == CastKind::Total && id.view == self.view.view_id && gseq <= self.adel;
+            if !taken && !self.delivered(id) {
+                self.deliver(*id, kind, gseq, vt.clone(), p.clone(), env);
             }
         }
         debug_assert!(
             relay.total_unordered.is_empty(),
             "install relays carry only ordered totals"
         );
-        self.in_relay = false;
     }
 
     /// Resets per-view protocol state after installing `view`.
@@ -1081,6 +970,7 @@ impl<A: Application> GroupRuntime<A> {
         self.view = view;
         self.stab_dirty = true;
         self.status = Status::Normal;
+        self.in_relay = false;
         self.seqs = [0; 3];
         self.cvt = VClock::new();
         self.fdel = VClock::new();
@@ -1091,9 +981,9 @@ impl<A: Application> GroupRuntime<A> {
         self.aorder.clear();
         self.aseq_assigned.clear();
         self.next_gseq = 1;
-        // Retained buffers and delivered ids survive one view change, in
-        // case the flush leader died mid-install; gc_stability prunes them
-        // once everyone confirms the new view.
+        // Retained buffers survive one view change, in case the flush leader
+        // died mid-install; gc_stability prunes them once everyone confirms
+        // the new view.
         self.stale_total = !self.retained_total.is_empty();
         self.stab_seen.clear();
         self.suspects.clear();
@@ -1168,10 +1058,9 @@ mod tests {
     }
 
     /// The `CastKind::Total` twin of the flat decay check, by count: what a
-    /// member keeps per delivered ABCAST (its relay entry, and formerly its
-    /// id in `delivered_ids`) covers what stability has not confirmed yet,
-    /// not the whole history of the stream; the marks hold one entry per
-    /// sender.
+    /// member keeps per delivered ABCAST (its relay entry) covers what
+    /// stability has not confirmed yet, not the whole history of the
+    /// stream; the marks hold one entry per sender.
     #[test]
     fn abcast_state_stays_bounded_over_a_long_stream() {
         const N: usize = 16;
@@ -1191,12 +1080,12 @@ mod tests {
             }
             for i in 0..N {
                 let r = rt(&c, i);
-                let held = r.delivered_ids.len() + r.retained_total.len();
+                let held = r.retained_total.len();
                 assert!(
                     held < bound,
-                    "after quarter {quarter} member {i} holds {held} ids (bound {bound})"
+                    "after quarter {quarter} member {i} holds {held} relay entries (bound {bound})"
                 );
-                let marks: usize = r.tdel.values().map(VClock::len).sum();
+                let marks: usize = r.marks.values().map(VClock::len).sum();
                 assert!(marks <= N, "member {i} holds {marks} ABCAST marks");
             }
         }
@@ -1231,8 +1120,7 @@ mod tests {
     /// An ABCAST still unstable when its view ends stays in the relay
     /// buffers of the next view only until that view's first completed
     /// stability pass. Kept longer, views with fewer ABCASTs than its gseq
-    /// never pop it, and once its id has aged out of `delivered_ids` a
-    /// later flush relays it and every member delivers it again.
+    /// never pop it, and every later flush relays it again.
     #[test]
     fn abcast_unstable_at_a_view_change_is_delivered_once() {
         let mut c = cluster(6, IsisConfig::default(), 3);
@@ -1255,26 +1143,40 @@ mod tests {
         assert_eq!(times_delivered(&c, "x"), vec![1; 6]);
     }
 
+    /// Whether `r` holds `id` in its stream's relay buffer.
+    fn relay_holds(r: &GroupRuntime<RecorderApp>, id: &MsgId) -> bool {
+        match id.stream {
+            0 => r.retained_causal.contains_key(id),
+            1 => r.retained_fifo.contains_key(id),
+            _ => r.retained_total.values().any(|(held, _)| held == id),
+        }
+    }
+
+    /// Casts `payload` from `pids[i]` and returns its id.
+    fn cast_from(c: &mut Cluster, i: usize, kind: CastKind, payload: &str) -> MsgId {
+        let (gid, payload) = (c.gid, payload.to_string());
+        c.sim
+            .invoke(c.pids[i], move |p, ctx| p.cast(gid, kind, payload, ctx))
+            .expect("alive")
+            .expect("member")
+            .expect("not wedged")
+    }
+
     /// In a group without heartbeats, stability snapshots ride only on
-    /// casts, so one member can prune an ABCAST's id while another keeps
-    /// the ABCAST buffered through any number of view changes and relays
-    /// it in every flush. The per-view delivery marks still recognise it.
-    #[test]
-    fn abcast_pruned_at_one_member_is_not_delivered_again_by_later_relays() {
+    /// casts, so one member can prune a cast while another keeps it
+    /// buffered through any number of view changes and relays it in every
+    /// flush. The per-view delivery marks still recognise it.
+    fn pruned_at_one_member_is_not_delivered_again_by_later_relays(kind: CastKind) {
         let mut c = cluster(6, IsisConfig::quiet(), 4);
-        let gid = c.gid;
-        let cast = |c: &mut Cluster, i: usize, kind: CastKind, m: &str| {
-            let m = m.to_string();
-            c.sim.invoke(c.pids[i], move |p, ctx| p.cast(gid, kind, m, ctx).expect("member"));
-            c.sim.run_for(SimDuration::from_millis(10));
-        };
-        cast(&mut c, 0, CastKind::Total, "x");
+        let x = cast_from(&mut c, 0, kind, "x");
+        c.sim.run_for(SimDuration::from_millis(10));
         // Everyone but member 2 casts after delivering x, so member 2
         // learns that x is stable and the others never do.
         for i in [0, 1, 3, 4, 5] {
-            cast(&mut c, i, CastKind::Fifo, &format!("after{i}"));
+            cast_from(&mut c, i, CastKind::Fifo, &format!("after{i}"));
+            c.sim.run_for(SimDuration::from_millis(10));
         }
-        let holds_x: Vec<bool> = (0..6).map(|i| !rt(&c, i).retained_total.is_empty()).collect();
+        let holds_x: Vec<bool> = (0..6).map(|i| relay_holds(rt(&c, i), &x)).collect();
         assert_eq!(
             holds_x,
             [true, true, false, true, true, true],
@@ -1286,27 +1188,34 @@ mod tests {
         assert_eq!(times_delivered(&c, "x"), vec![1; 6]);
     }
 
+    #[test]
+    fn abcast_pruned_at_one_member_is_not_delivered_again_by_later_relays() {
+        pruned_at_one_member_is_not_delivered_again_by_later_relays(CastKind::Total);
+    }
+
+    #[test]
+    fn causal_pruned_at_one_member_is_not_delivered_again_by_later_relays() {
+        pruned_at_one_member_is_not_delivered_again_by_later_relays(CastKind::Causal);
+    }
+
+    #[test]
+    fn fifo_pruned_at_one_member_is_not_delivered_again_by_later_relays() {
+        pruned_at_one_member_is_not_delivered_again_by_later_relays(CastKind::Fifo);
+    }
+
     /// A joiner started from a donor's delivery floor recognises every
-    /// ABCAST the donor delivered — in this view and earlier ones, stable
-    /// and pruned or not — so neither a stale duplicate nor a later relay
-    /// is applied on top of the state it imported.
+    /// cast the donor delivered — of every stream, in this view and earlier
+    /// ones, stable and pruned or not — so neither a stale duplicate nor a
+    /// later relay is applied on top of the state it imported.
     #[test]
     fn joiner_floor_carries_the_abcast_marks() {
         let mut c = cluster(4, IsisConfig::default(), 6);
-        let gid = c.gid;
+        let kinds = [CastKind::Causal, CastKind::Fifo, CastKind::Total];
         let mut sent = Vec::new();
         for round in 0..2 {
-            for i in 0..20 {
-                let from = c.pids[i % 3];
-                let id = c
-                    .sim
-                    .invoke(from, move |p, ctx| {
-                        p.cast(gid, CastKind::Total, format!("r{round}m{i}"), ctx)
-                    })
-                    .expect("alive")
-                    .expect("member")
-                    .expect("not wedged");
-                sent.push(id);
+            for i in 0..30 {
+                let kind = kinds[i % kinds.len()];
+                sent.push(cast_from(&mut c, i % 3, kind, &format!("r{round}m{i}")));
                 c.sim.run_for(SimDuration::from_millis(50));
             }
             if round == 0 {
@@ -1314,53 +1223,47 @@ mod tests {
             }
         }
         let donor = rt(&c, 0);
-        assert!(
-            donor.retained_total.len() < 20,
-            "precondition: stability pruned some of the last view's ABCASTs"
-        );
+        for kind in kinds {
+            assert!(
+                sent[30..].iter().any(|id| id.stream == kind.stream() && !relay_holds(donor, id)),
+                "precondition: stability pruned some of the last view's {kind:?} casts"
+            );
+        }
         let mut joiner =
             GroupRuntime::<RecorderApp>::new_joined(donor.view.clone(), c.pids[3], c.sim.now());
         joiner.set_delivery_floor(donor.delivery_floor());
         for id in &sent {
-            assert!(joiner.total_delivered(id), "{id:?} not recognised");
+            assert!(joiner.delivered(id), "{id:?} not recognised");
+            let next = MsgId { seq: id.seq + 1, ..*id };
+            assert_eq!(joiner.delivered(&next), sent.contains(&next), "{next:?}");
         }
-        let next = MsgId { seq: sent[sent.len() - 1].seq + 1, ..sent[sent.len() - 1] };
-        assert!(!joiner.total_delivered(&next));
-        assert_eq!(joiner.tdel, donor.tdel);
-        assert_eq!(joiner.delivered_ids, donor.delivered_ids);
+        assert_eq!(joiner.marks, donor.marks);
     }
 
-    /// Once stability pruned an ABCAST's id, a stale duplicate of it
-    /// reaching the sequencer is still recognized — by the per-sender
-    /// delivered mark — so it is counted, not ordered again, and delivered
-    /// nowhere a second time.
-    #[test]
-    fn stale_abcast_duplicate_is_not_sequenced_again() {
+    /// Once stability pruned a cast, a stale duplicate of it reaching the
+    /// ABCAST sequencer is still recognised — by its sender's delivery mark
+    /// — so it is counted, neither held back nor ordered again, and
+    /// delivered nowhere a second time.
+    fn stale_duplicate_is_not_delivered_again(kind: CastKind) {
         let mut c = cluster(4, IsisConfig::default(), 5);
         let gid = c.gid;
         let (sequencer, sender) = (c.pids[0], c.pids[1]);
         assert_eq!(rt(&c, 0).sequencer(), sequencer);
-        let id = c
-            .sim
-            .invoke(sender, move |p, ctx| {
-                p.cast(gid, CastKind::Total, "x".to_string(), ctx)
-            })
-            .expect("alive")
-            .expect("member")
-            .expect("not wedged");
+        let id = cast_from(&mut c, 1, kind, "x");
         // Heartbeats carry everyone's progress: the cast becomes stable.
         c.sim.run_for(SimDuration::from_secs(1));
         let seq_rt = rt(&c, 0);
-        assert!(
-            seq_rt.retained_total.is_empty() && !seq_rt.delivered_ids.contains(&id),
-            "precondition: {id:?} is stable and pruned"
-        );
+        assert!(!relay_holds(seq_rt, &id), "precondition: {id:?} is stable and pruned");
+        let mut vt = VClock::new();
+        if kind == CastKind::Causal {
+            vt.set(sender, id.seq);
+        }
         let dup = CastData {
             gid,
             view: seq_rt.view.view_id,
-            kind: CastKind::Total,
+            kind,
             id,
-            vt: VClock::new(),
+            vt,
             stab: StabilityVector::default(),
             want_ack: false,
             payload: "x".to_string(),
@@ -1372,9 +1275,26 @@ mod tests {
         c.sim.run_for(SimDuration::from_secs(1));
         assert_eq!(c.sim.stats().counter("isis.recv.dup"), dups + 1);
         assert_eq!(c.sim.stats().counter("isis.sent.abcast_order"), orders);
+        let seq_rt = rt(&c, 0);
+        assert!(seq_rt.pending_causal.is_empty() && seq_rt.pending_fifo.is_empty());
         for (p, log) in c.live_logs() {
             assert_eq!(log, vec!["x".to_string()], "{p}");
         }
+    }
+
+    #[test]
+    fn stale_abcast_duplicate_is_not_sequenced_again() {
+        stale_duplicate_is_not_delivered_again(CastKind::Total);
+    }
+
+    #[test]
+    fn stale_causal_duplicate_is_not_delivered_again() {
+        stale_duplicate_is_not_delivered_again(CastKind::Causal);
+    }
+
+    #[test]
+    fn stale_fifo_duplicate_is_not_delivered_again() {
+        stale_duplicate_is_not_delivered_again(CastKind::Fifo);
     }
 
     /// `ack_counts` entries leave at their id's stability floor. That loses

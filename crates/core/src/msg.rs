@@ -114,10 +114,9 @@ pub struct DeliveryFloor {
     pub fdel: VClock,
     /// Highest contiguously delivered ABCAST global sequence.
     pub adel: u64,
-    /// Delivered-but-not-yet-stable causal and FIFO ids (dedups cross-view
-    /// relays, which bypass the per-view floors above), plus each sender's
-    /// last delivered ABCAST id per view, from which the joiner rebuilds
-    /// its per-sender ABCAST marks. Sorted.
+    /// Each sender's last delivered id per view and stream, from which the
+    /// joiner rebuilds its delivery marks (they screen duplicates and flush
+    /// relays of every view). Sorted.
     pub delivered: Vec<MsgId>,
 }
 

@@ -33,8 +33,9 @@ pub type ViewId = u64;
 ///
 /// `view` is the view in which the sender initiated the cast, `stream` the
 /// ordering stream (one per [`CastKind`]), and `seq` the sender's per-view,
-/// per-stream sequence number; together they are globally unique and form
-/// the deduplication key during view-change relays.
+/// per-stream sequence number; together they are globally unique. A
+/// member recognises the ids it delivered by `(view, stream, sender)` and
+/// a `seq` at or below that sender's delivery mark.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MsgId {
     /// Originating process.

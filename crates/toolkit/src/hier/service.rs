@@ -661,7 +661,19 @@ impl LargeApp for LeafServiceApp {
         view: &GroupView,
         up: &mut LargeUplink<'_, '_, '_, Self>,
     ) {
-        self.leaf_view = Some(view.clone());
+        // Every replica drops the lock waiters that left this leaf. Waiters
+        // from other leaves stay queued, or a release would never reach
+        // them. The head stays too: a holder can leave the leaf alive (it
+        // migrates, or is excluded) and still holds the lock.
+        let prev = self.leaf_view.replace(view.clone());
+        if let Some(prev) = prev.filter(|prev| prev.gid == view.gid) {
+            let left = |p: &Pid| prev.contains(*p) && !view.contains(*p);
+            for q in self.lock_queues.values_mut() {
+                let head = q.front().copied();
+                q.retain(|p| Some(*p) == head || !left(p));
+            }
+            self.lock_queues.retain(|_, q| !q.is_empty());
+        }
         let me = up.me();
         if view.coordinator() == me {
             // Takeover duties: finish logged requests, re-vote staged
@@ -687,17 +699,10 @@ impl LargeApp for LeafServiceApp {
                     },
                 );
             }
-            // Prune dead waiters from lock queues and re-grant heads.
-            let mut grants: Vec<(String, Pid)> = Vec::new();
-            for (lock, q) in self.lock_queues.iter_mut() {
-                let head_before = q.front().copied();
-                q.retain(|p| view.contains(*p) || *p == me || head_before == Some(*p));
+            for (lock, q) in &self.lock_queues {
                 if let Some(&h) = q.front() {
-                    grants.push((lock.clone(), h));
+                    up.direct(h, HSvcMsg::MGrant { lock: lock.clone() });
                 }
-            }
-            for (lock, h) in grants {
-                up.direct(h, HSvcMsg::MGrant { lock });
             }
         }
     }

@@ -4,8 +4,8 @@ use isis_core::testutil::generic_cluster;
 use isis_core::{GroupId, IsisConfig, IsisProcess};
 use isis_hier::{HierApp, LargeGroupConfig, LargeGroupId};
 use isis_toolkit::flat::{FlatMutex, FlatParallel, FlatService};
-use isis_toolkit::hier::{Directory, LeafServiceApp, TreeParallel};
-use now_sim::{Pid, Sim, SimConfig, SimDuration, SimTime};
+use isis_toolkit::hier::{home_leaf, Directory, LeafServiceApp, TreeParallel};
+use now_sim::{Partition, Pid, Sim, SimConfig, SimDuration, SimTime};
 
 const GID: GroupId = GroupId(7);
 
@@ -242,8 +242,10 @@ fn flat_parallel_computes_the_right_sum() {
 // Hierarchical service
 // ---------------------------------------------------------------------
 
+type HierSim = Sim<IsisProcess<HierApp<LeafServiceApp>>>;
+
 type HierCluster = (
-    Sim<IsisProcess<HierApp<LeafServiceApp>>>,
+    HierSim,
     LargeGroupId,
     Vec<Pid>,
     Vec<Pid>,
@@ -252,8 +254,7 @@ type HierCluster = (
 fn hier_cluster(n: usize, seed: u64) -> HierCluster {
     let lgid = LargeGroupId(1);
     let cfg = LargeGroupConfig::new(2, 3);
-    let mut sim: Sim<IsisProcess<HierApp<LeafServiceApp>>> =
-        Sim::new(SimConfig::ideal(seed));
+    let mut sim: HierSim = Sim::new(SimConfig::ideal(seed));
     let nleaders = cfg.resiliency;
     let leaders: Vec<Pid> = (0..nleaders)
         .map(|_| {
@@ -318,7 +319,7 @@ fn hier_cluster(n: usize, seed: u64) -> HierCluster {
 }
 
 fn directory(
-    sim: &Sim<IsisProcess<HierApp<LeafServiceApp>>>,
+    sim: &HierSim,
     leader: Pid,
     lgid: LargeGroupId,
 ) -> Directory {
@@ -524,6 +525,107 @@ fn hier_lock_is_exclusive_across_leaves() {
         .biz()
         .held_locks
         .contains(&"global-lock".to_string()));
+}
+
+/// A lock whose home leaf has at least three members, and those members.
+fn lock_with_home_of_three(
+    sim: &HierSim,
+    dir: &Directory,
+    lgid: LargeGroupId,
+    members: &[Pid],
+) -> (String, Vec<Pid>) {
+    (0..100)
+        .map(|i| format!("lock{i}"))
+        .find_map(|lock| {
+            let gid = home_leaf(dir, &lock).0;
+            let home: Vec<Pid> = members
+                .iter()
+                .copied()
+                .filter(|&m| sim.process(m).app().leaf_of(lgid) == Some(gid))
+                .collect();
+            (home.len() >= 3).then_some((lock, home))
+        })
+        .expect("a home leaf with three members")
+}
+
+fn holds(sim: &HierSim, p: Pid, lock: &str) -> bool {
+    sim.process(p).app().biz().held_locks.iter().any(|l| l == lock)
+}
+
+/// `p` asks for `lock`, then the sim runs for two seconds.
+fn acquire(sim: &mut HierSim, dir: &Directory, p: Pid, lock: &str) {
+    let (d, l) = (dir.clone(), lock.to_string());
+    sim.invoke(p, move |proc_, ctx| {
+        proc_.with_app(ctx, |app, up| {
+            app.with_business(up, |biz, lup| biz.acquire_lock(&d, &l, lup));
+        });
+    });
+    sim.run_for(SimDuration::from_secs(2));
+}
+
+/// A view change at a lock's home leaf keeps the waiters from other
+/// leaves queued at every replica, so a release still passes the lock on.
+#[test]
+fn remote_lock_waiter_survives_a_view_change_at_the_lock_home() {
+    let (mut sim, lgid, leaders, members) = hier_cluster(12, 59);
+    let dir = directory(&sim, leaders[0], lgid);
+    let (lock, home) = lock_with_home_of_three(&sim, &dir, lgid, &members);
+    let victim = *home
+        .iter()
+        .find(|&&m| !sim.process(m).app().is_rep(lgid))
+        .expect("a non-rep member");
+    let remote: Vec<Pid> = members.iter().copied().filter(|m| !home.contains(m)).collect();
+    let (holder, waiter) = (remote[0], remote[1]);
+    for p in [holder, waiter] {
+        acquire(&mut sim, &dir, p, &lock);
+    }
+    assert!(
+        holds(&sim, holder, &lock) && !holds(&sim, waiter, &lock),
+        "precondition: holder first"
+    );
+    sim.crash(victim);
+    sim.run_for(SimDuration::from_secs(10));
+    let (d, l) = (dir.clone(), lock.clone());
+    sim.invoke(holder, move |proc_, ctx| {
+        proc_.with_app(ctx, |app, up| {
+            app.with_business(up, |biz, lup| biz.release_lock(&d, &l, lup));
+        });
+    });
+    sim.run_for(SimDuration::from_secs(5));
+    assert!(holds(&sim, waiter, &lock), "{waiter} never granted {lock}");
+}
+
+/// A holder that leaves the lock's home leaf alive — here it is cut off
+/// and excluded — stays at the head of the queue, so the replicas do not
+/// grant its lock to a waiter as well.
+#[test]
+fn excluded_lock_holder_is_not_granted_over() {
+    let (mut sim, lgid, leaders, members) = hier_cluster(12, 59);
+    let dir = directory(&sim, leaders[0], lgid);
+    let (lock, home) = lock_with_home_of_three(&sim, &dir, lgid, &members);
+    let holder = *home
+        .iter()
+        .find(|&&m| !sim.process(m).app().is_rep(lgid))
+        .expect("a non-rep member");
+    let waiter = *members.iter().find(|m| !home.contains(m)).expect("a remote member");
+    for p in [holder, waiter] {
+        acquire(&mut sim, &dir, p, &lock);
+    }
+    assert!(
+        holds(&sim, holder, &lock) && !holds(&sim, waiter, &lock),
+        "precondition: holder first"
+    );
+    let home_gid = home_leaf(&dir, &lock).0;
+    sim.set_partition(Partition::split([sim.node_of(holder)]));
+    sim.run_for(SimDuration::from_secs(10));
+    let peer = *home.iter().find(|&&m| m != holder).expect("a home peer");
+    let view = sim.process(peer).view_of(home_gid).expect("home leaf view");
+    assert!(
+        !view.contains(holder),
+        "precondition: {holder} excluded from the home leaf"
+    );
+    assert!(holds(&sim, holder, &lock), "{holder} still holds {lock}");
+    assert!(!holds(&sim, waiter, &lock), "{waiter} granted {lock} while {holder} holds it");
 }
 
 // ---------------------------------------------------------------------
