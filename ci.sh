@@ -1,9 +1,15 @@
 #!/usr/bin/env bash
 # Tier-1 gate, runnable offline on any machine with a Rust toolchain:
 #   1. release build of the whole workspace,
-#   2. full test suite (includes detlint's self-check, the determinism
-#      regression tests and the tracer on/off byte-identity proof),
-#   3. clippy over every target with warnings denied,
+#   2. full test suite (includes detlint's self-check and its pin on the
+#      clippy lint config, the determinism regression tests and the tracer
+#      on/off byte-identity proof),
+#   3. clippy over every target with warnings denied: besides the usual
+#      lints this enforces determinism rules R1, R2, R5 and R9 (the
+#      disallowed types and methods in clippy.toml and the per-crate
+#      carve-outs under crates/{bench,apps,net}) and, through
+#      [workspace.lints], R3's unwrap ban, `unsafe_code` and reasoned
+#      `#[expect]`s only,
 #   4. monitor-armed quick experiment sweep: every experiment runs with the
 #      online virtual-synchrony invariant monitors in panic mode, so any
 #      violation anywhere in the stack fails the gate; its tables (everything
@@ -28,8 +34,8 @@
 #      tests/golden/chaos_sweep_1000_seed1.txt byte for byte, and the
 #      coverage census it writes to artifacts must be byte-identical
 #      (`cmp`) to tests/golden/chaos_census_1000_seed1.json,
-#  10. the determinism linter, emitting its machine-readable report.
-# Fails on the first broken step or on any non-allowlisted lint finding.
+#  10. the whole-workspace linter (detlint rules R3, R4, R6, R7).
+# Fails on the first broken step or on any lint finding.
 # Artifacts land in BENCH_artifacts/.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -87,7 +93,7 @@ grep -v '^census written to ' BENCH_artifacts/chaos_sweep.txt \
 echo "==> chaos census vs tests/golden/chaos_census_1000_seed1.json"
 cmp tests/golden/chaos_census_1000_seed1.json BENCH_artifacts/chaos_census.json
 
-echo "==> cargo run -p detlint -- --json"
-cargo run --quiet -p detlint -- --json | tee BENCH_artifacts/detlint.json
+echo "==> cargo run -p detlint"
+cargo run --quiet -p detlint
 
 echo "==> ci: all green"

@@ -17,7 +17,8 @@
 //! Thread count comes from `NOW_JOBS` (default: available parallelism);
 //! `NOW_JOBS=1` recovers the plain serial loop in the calling thread.
 //!
-//! OS threads are deliberately confined to this crate: detlint rule R5
+//! OS threads are deliberately confined to this crate and the socket
+//! backend: rule R5 (clippy's `disallowed-methods`, see `clippy.toml`)
 //! bans `thread::scope`/`thread::spawn` everywhere else, so the parallel
 //! runner cannot leak real concurrency into the protocol crates.
 

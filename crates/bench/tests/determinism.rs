@@ -1,9 +1,9 @@
-//! Determinism regression tests (detlint's dynamic counterpart): every
+//! Determinism regression tests (the lints' dynamic counterpart): every
 //! experiment table in EXPERIMENTS.md is an *exact* count, so two runs with
 //! the same seed must be byte-identical, and the seed must actually matter
 //! on a jittery network. A failure here means hidden nondeterminism crept
 //! into the stack (hash-order iteration, wall-clock reads, unseeded RNG) —
-//! exactly what detlint rules R1/R2 exist to keep out statically.
+//! exactly what rules R1/R2 (`clippy.toml`) exist to keep out statically.
 
 use isis_bench::experiments as ex;
 use isis_bench::harness::FLAT_GID;

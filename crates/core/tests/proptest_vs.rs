@@ -140,8 +140,8 @@ proptest! {
         // Invariant 4: per-sender order within each stream (op index in the
         // payload increases monotonically per (kind, sender)).
         for (p, log) in &logs {
-            use std::collections::HashMap;
-            let mut last: HashMap<(char, u32), usize> = HashMap::new();
+            use std::collections::BTreeMap;
+            let mut last: BTreeMap<(char, u32), usize> = BTreeMap::new();
             for m in log {
                 let kind = m.as_bytes()[0] as char;
                 let rest = &m[3..];

@@ -108,9 +108,6 @@ pub fn extract_fns(lines: &[Line]) -> Vec<FnDef> {
                 ";" => break,
                 _ => k += 1,
             }
-            if has_body {
-                break;
-            }
         }
         if has_body {
             let mut depth = 0i32;

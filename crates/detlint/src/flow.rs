@@ -431,22 +431,20 @@ fn in_flow_scope(rel: &str) -> bool {
     FLOW_SCOPE.iter().any(|p| rel.starts_with(p)) && !rel.contains("/src/bin/")
 }
 
-/// Runs R6 and R7 over the whole file set. Findings are raw (allow
-/// directives are applied by the caller).
-pub fn lint_flow(files: &[SourceFile]) -> Vec<Finding> {
+/// Runs R6 and R7 over the whole file set, scrubbed and keyed by path.
+pub fn lint_flow(scrubbed: &BTreeMap<&str, Vec<Line>>) -> Vec<Finding> {
     // Protocol enums: naming convention, non-test source, flow scope.
     let mut enums: BTreeMap<String, EnumDef> = BTreeMap::new();
     let mut facts: Vec<FileFacts> = Vec::new();
-    for f in files {
-        let lines = scrub(&f.text);
-        if in_flow_scope(&f.rel) {
-            for e in extract_enums(&f.rel, &lines) {
+    for (&rel, lines) in scrubbed {
+        if in_flow_scope(rel) {
+            for e in extract_enums(rel, lines) {
                 if is_flow_enum_name(&e.name) && !lines[e.line - 1].in_test {
                     enums.entry(e.name.clone()).or_insert(e);
                 }
             }
         }
-        facts.push(file_facts(&f.rel, &lines));
+        facts.push(file_facts(rel, lines));
     }
 
     let mut out = Vec::new();
@@ -534,14 +532,10 @@ pub fn lint_flow(files: &[SourceFile]) -> Vec<Finding> {
 mod tests {
     use super::*;
 
-    fn lines_of(src: &str) -> Vec<Line> {
-        scrub(src)
-    }
-
     #[test]
     fn enum_parser_reads_variants_with_payloads_and_attrs() {
         let src = "#[derive(Clone)]\npub enum FooMsg<Q> {\n  A,\n  #[allow(dead_code)]\n  B { x: u8, y: Vec<(u8, u8)> },\n  C(Box<Q>),\n}\n";
-        let e = extract_enums("x.rs", &lines_of(src));
+        let e = extract_enums("x.rs", &scrub(src));
         assert_eq!(e.len(), 1);
         assert_eq!(e[0].name, "FooMsg");
         let names: Vec<&str> = e[0].variants.iter().map(|(n, _)| n.as_str()).collect();
@@ -552,7 +546,7 @@ mod tests {
     #[test]
     fn match_parser_separates_arms_and_handles_blocks() {
         let src = "fn f(m: M) {\n  match m {\n    M::A { x } if x > 0 => go(x),\n    M::B(_) => { nested(); }\n    _ => {}\n  }\n}\n";
-        let sites = extract_matches(&lines_of(src));
+        let sites = extract_matches(&scrub(src));
         assert_eq!(sites.len(), 1);
         assert_eq!(sites[0].arms.len(), 3);
         assert_eq!(sites[0].arms[2].pattern, vec!["_".to_string()]);
@@ -562,7 +556,7 @@ mod tests {
     #[test]
     fn nested_match_in_arm_expression_is_its_own_site() {
         let src = "fn f() {\n  match a {\n    X::P => match b { Y::Q => 1, Y::R => 2 },\n    X::S => 3,\n  };\n}\n";
-        let sites = extract_matches(&lines_of(src));
+        let sites = extract_matches(&scrub(src));
         assert_eq!(sites.len(), 2);
         assert_eq!(sites[0].arms.len(), 2, "{:?}", sites[0].arms);
     }
@@ -573,7 +567,7 @@ mod tests {
             rel: "crates/hier/src/fake.rs".into(),
             text: "pub enum FakeMsg { A, B }\nfn h(m: &FakeMsg) {\n  match m {\n    FakeMsg::A => on_a(),\n    _ => {}\n  }\n}\nfn mk() { let _ = (FakeMsg::A, FakeMsg::B); }\nfn h2(m: &FakeMsg) { if let FakeMsg::B = m { on_b(); } }\n".into(),
         };
-        let f = lint_flow(std::slice::from_ref(&proto));
+        let f = crate::lint_files(std::slice::from_ref(&proto));
         let r6: Vec<&Finding> = f.iter().filter(|x| x.rule == Rule::R6).collect();
         assert_eq!(r6.len(), 1, "{f:?}");
         assert_eq!(r6[0].line, 5);
@@ -583,7 +577,7 @@ mod tests {
             rel: "crates/hier/src/other.rs".into(),
             text: "fn g(x: Option<u8>) -> u8 {\n  match x {\n    Some(v) => v,\n    _ => 0,\n  }\n}\n".into(),
         };
-        assert!(lint_flow(&[plain]).iter().all(|x| x.rule != Rule::R6));
+        assert!(crate::lint_files(&[plain]).iter().all(|x| x.rule != Rule::R6));
     }
 
     #[test]
@@ -592,7 +586,7 @@ mod tests {
             rel: "crates/core/src/fake.rs".into(),
             text: "pub enum GhostMsg { Used, NeverMade, NeverRead }\nfn h(m: GhostMsg) {\n  match m {\n    GhostMsg::Used => {}\n    GhostMsg::NeverMade => {}\n    GhostMsg::NeverRead2 => {}\n  }\n}\nfn mk() { send(GhostMsg::Used); send(GhostMsg::NeverRead); }\n".into(),
         };
-        let out = lint_flow(&[f]);
+        let out = crate::lint_files(&[f]);
         let r7: Vec<&Finding> = out.iter().filter(|x| x.rule == Rule::R7).collect();
         assert_eq!(r7.len(), 2, "{out:?}");
         assert!(r7.iter().any(|x| x.message.contains("NeverMade") && x.line == 1));
@@ -605,7 +599,7 @@ mod tests {
             rel: "crates/core/src/fake.rs".into(),
             text: "pub enum PairMsg { A, B }\nfn mk() { (PairMsg::A, PairMsg::B); }\nfn h(m: &PairMsg) -> bool {\n  if let PairMsg::A = m { return true; }\n  matches!(m, PairMsg::B)\n}\n".into(),
         };
-        let out = lint_flow(&[f]);
+        let out = crate::lint_files(&[f]);
         assert!(out.iter().all(|x| x.rule != Rule::R7), "{out:?}");
     }
 
@@ -615,11 +609,11 @@ mod tests {
             rel: "crates/bench/src/fake.rs".into(),
             text: "pub enum BenchMsg { A }\n".into(),
         };
-        assert!(lint_flow(&[f]).is_empty());
+        assert!(crate::lint_files(&[f]).is_empty());
         let t = SourceFile {
             rel: "crates/core/src/fake.rs".into(),
             text: "#[cfg(test)]\nmod tests {\n  pub enum TestOnlyMsg { A }\n}\n".into(),
         };
-        assert!(lint_flow(&[t]).is_empty());
+        assert!(crate::lint_files(&[t]).is_empty());
     }
 }

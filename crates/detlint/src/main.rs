@@ -1,59 +1,33 @@
-//! CLI for the determinism linter: `cargo run -p detlint [-- --json] [root]`.
+//! CLI for the protocol-safety linter: `cargo run -p detlint`.
 //!
-//! Exits 0 when the tree is clean, 1 when any finding (or a bare allow
-//! directive) survives, 2 on usage/IO errors.
+//! Lints the workspace this crate is built in, so it takes no arguments.
+//! Exits 0 when the tree is clean, 1 on any finding, 2 on usage/IO errors.
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 
-use detlint::{default_root, lint_workspace, to_json, Rule};
+use detlint::{default_root, lint_workspace, Rule};
 
 fn main() -> ExitCode {
-    let mut json = false;
-    let mut root: Option<PathBuf> = None;
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--json" => json = true,
-            "--help" | "-h" => {
-                eprintln!("usage: detlint [--json] [workspace-root]");
-                return ExitCode::from(0);
-            }
-            other if !other.starts_with('-') && root.is_none() => {
-                root = Some(PathBuf::from(other));
-            }
-            other => {
-                eprintln!("detlint: unknown argument `{other}`");
-                return ExitCode::from(2);
-            }
-        }
+    if std::env::args().len() > 1 {
+        eprintln!("usage: detlint (no arguments: it lints the workspace it is built in)");
+        return ExitCode::from(2);
     }
-    let root = root.unwrap_or_else(default_root);
-
-    let findings = match lint_workspace(&root) {
+    let findings = match lint_workspace() {
         Ok(f) => f,
         Err(e) => {
-            eprintln!("detlint: cannot lint {}: {e}", root.display());
+            eprintln!("detlint: cannot lint {}: {e}", default_root().display());
             return ExitCode::from(2);
         }
     };
 
-    if json {
-        print!("{}", to_json(&findings));
-    } else {
-        for f in &findings {
-            println!("{f}");
-        }
-        let per_rule: Vec<String> = Rule::ALL
-            .iter()
-            .map(|r| (r, findings.iter().filter(|f| f.rule == *r).count()))
-            .filter(|(_, n)| *n > 0)
-            .map(|(r, n)| format!("{r}: {n}"))
-            .collect();
-        if findings.is_empty() {
-            println!("detlint: clean ({} rules enforced)", Rule::ALL.len());
-        } else {
-            println!("detlint: {} finding(s) [{}]", findings.len(), per_rule.join(", "));
-        }
+    for f in &findings {
+        println!("{f}");
     }
-    ExitCode::from(if findings.is_empty() { 0 } else { 1 })
+    if findings.is_empty() {
+        println!("detlint: clean ({} rules enforced)", Rule::ALL.len());
+        ExitCode::from(0)
+    } else {
+        println!("detlint: {} finding(s)", findings.len());
+        ExitCode::from(1)
+    }
 }

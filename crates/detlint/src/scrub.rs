@@ -1,7 +1,6 @@
 //! Source scrubbing: a small lexer that removes comments and string
 //! contents from Rust source so the rule passes can match tokens without
-//! being fooled by doc text or payload literals, while keeping the comment
-//! text available for `// detlint: allow(...)` directives.
+//! being fooled by doc text or payload literals.
 //!
 //! The output preserves line structure exactly: scrubbed line `i`
 //! corresponds to source line `i`, so findings carry real line numbers.
@@ -13,20 +12,17 @@ pub struct Line {
     /// their contents collapse to `S` (or nothing when the literal is
     /// empty), so `.expect("")` remains distinguishable from `.expect("x")`.
     pub code: String,
-    /// Concatenated comment text of the line (line and block comments).
-    pub comment: String,
     /// Whether the line sits inside a `#[cfg(test)]` or `#[test]` region.
     pub in_test: bool,
 }
 
 enum State {
     Code,
-    LineComment,
     BlockComment(u32),
     Str { raw_hashes: Option<u32>, any: bool },
 }
 
-/// Scrubs `src` into per-line code/comment pairs and marks test regions.
+/// Scrubs `src` into per-line code and marks test regions.
 pub fn scrub(src: &str) -> Vec<Line> {
     let mut lines: Vec<Line> = Vec::new();
     let mut cur = Line::default();
@@ -36,9 +32,6 @@ pub fn scrub(src: &str) -> Vec<Line> {
     while i < chars.len() {
         let c = chars[i];
         if c == '\n' {
-            if let State::LineComment = state {
-                state = State::Code;
-            }
             lines.push(std::mem::take(&mut cur));
             i += 1;
             continue;
@@ -46,8 +39,10 @@ pub fn scrub(src: &str) -> Vec<Line> {
         match state {
             State::Code => {
                 if c == '/' && chars.get(i + 1) == Some(&'/') {
-                    state = State::LineComment;
-                    i += 2;
+                    // A line comment runs to the newline, which ends the line.
+                    while chars.get(i).is_some_and(|&c| c != '\n') {
+                        i += 1;
+                    }
                 } else if c == '/' && chars.get(i + 1) == Some(&'*') {
                     state = State::BlockComment(1);
                     i += 2;
@@ -80,10 +75,6 @@ pub fn scrub(src: &str) -> Vec<Line> {
                     i += 1;
                 }
             }
-            State::LineComment => {
-                cur.comment.push(c);
-                i += 1;
-            }
             State::BlockComment(depth) => {
                 if c == '*' && chars.get(i + 1) == Some(&'/') {
                     state = if depth == 1 {
@@ -96,7 +87,6 @@ pub fn scrub(src: &str) -> Vec<Line> {
                     state = State::BlockComment(depth + 1);
                     i += 2;
                 } else {
-                    cur.comment.push(c);
                     i += 1;
                 }
             }
@@ -134,7 +124,7 @@ pub fn scrub(src: &str) -> Vec<Line> {
             }
         }
     }
-    if !cur.code.is_empty() || !cur.comment.is_empty() {
+    if !cur.code.is_empty() {
         lines.push(cur);
     }
     mark_test_regions(&mut lines);
@@ -225,10 +215,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn comments_are_removed_but_kept_for_directives() {
-        let l = scrub("let x = 1; // detlint: allow(R1): because\nlet y = 2;");
+    fn comments_are_removed() {
+        let l = scrub("let x = 1; // HashMap here\nlet y = 2;");
         assert_eq!(l[0].code.trim_end(), "let x = 1;");
-        assert!(l[0].comment.contains("detlint: allow(R1)"));
         assert_eq!(l[1].code, "let y = 2;");
     }
 
@@ -259,7 +248,6 @@ mod tests {
     fn block_comments_span_lines() {
         let l = scrub("a();\n/* HashMap\n still comment */ b();");
         assert_eq!(l[1].code, "");
-        assert!(l[1].comment.contains("HashMap"));
         assert!(l[2].code.contains("b();"));
     }
 
@@ -290,7 +278,6 @@ mod tests {
         let l = scrub("let s = r##\"quote \" and // and \"# inner\"##; tail();");
         assert!(l[0].code.contains("tail();"));
         assert!(!l[0].code.contains("quote"));
-        assert!(!l[0].comment.contains("and"));
     }
 
     #[test]
@@ -306,7 +293,6 @@ mod tests {
         let src = "a();\n/* outer /* inner */ still comment */ b();\nc();";
         let l = scrub(src);
         assert_eq!(l[1].code.trim(), "b();");
-        assert!(l[1].comment.contains("inner"));
         assert!(l[2].code.contains("c();"));
     }
 
@@ -316,7 +302,6 @@ mod tests {
         // '\'' and '\\' must not leak a stray quote into code.
         let l = scrub("let a = '\"'; let b = '/'; let c = '\\''; let d = '\\\\'; live();");
         assert!(l[0].code.contains("live();"), "{:?}", l[0].code);
-        assert!(l[0].comment.is_empty());
         // Each literal collapses to the placeholder, so no quote survives.
         assert_eq!(l[0].code.matches('"').count(), 0, "{:?}", l[0].code);
     }

@@ -1,6 +1,6 @@
 //! Shared token stream over scrubbed source lines.
 //!
-//! Both the call-graph pass (R4) and the flow analyses (R6–R9) work on the
+//! Both the call-graph pass (R4) and the flow analyses (R6, R7) work on the
 //! same representation: identifiers kept whole, every other non-whitespace
 //! character emitted as a single-char token, each token carrying its 1-based
 //! source line. Multi-char operators (`::`, `=>`) therefore arrive as

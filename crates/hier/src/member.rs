@@ -476,7 +476,10 @@ impl<B: LargeApp> HierApp<B> {
     // Broadcast delivery at a member
     // ------------------------------------------------------------------
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "takes the unpacked fields of TreeMsg::LeafDeliver plus the leaf view"
+    )]
     pub(crate) fn member_deliver_lbcast(
         &mut self,
         lgid: LargeGroupId,

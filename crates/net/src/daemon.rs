@@ -16,10 +16,10 @@
 //!   `Hello`) whenever the peer drops.
 //!
 //! This shape — one owning core, message-passing satellites, shared
-//! flags only as `Arc`-wrapped atomics — is a lintable contract: detlint
-//! rule R9 bans locks and interior-mutability cells across `crates/net`,
-//! so cross-thread mutable state cannot flow outside the channels and
-//! declared atomics you see in this file.
+//! flags only as `Arc`-wrapped atomics — is a lintable contract: rule R9
+//! (`crates/net/clippy.toml`) bans locks and interior-mutability cells
+//! across `crates/net`, so cross-thread mutable state cannot flow outside
+//! the channels and declared atomics you see in this file.
 //!
 //! The core hosts processes through the same [`Endpoint`] as the simulator,
 //! which books every send, delivery, drop, timer and halt; the core only

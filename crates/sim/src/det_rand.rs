@@ -5,9 +5,9 @@
 //! draws from a [`DetRng`] seeded explicitly by the harness. There is no
 //! entropy source anywhere: two runs with the same seed replay the same
 //! random stream bit for bit, which is what lets EXPERIMENTS.md state
-//! exact message counts. The `detlint` tool (rule R2) rejects any attempt
-//! to reintroduce `thread_rng`/`from_entropy`-style seeding or wall-clock
-//! reads.
+//! exact message counts. Rule R2 (clippy's `disallowed-types`, see
+//! `clippy.toml`) rejects any attempt to reintroduce `RandomState` or
+//! wall-clock reads.
 //!
 //! The generator is xoshiro256** (Blackman & Vigna), seeded by expanding a
 //! single `u64` through SplitMix64 — the standard, portable construction.

@@ -18,7 +18,7 @@ fn install(tr: &mut Tracer, at: u64, pid: u32, gid: u64, view: u64, members: &[u
     )
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "one argument per CastDeliver field")]
 fn deliver(
     tr: &mut Tracer,
     at: u64,
