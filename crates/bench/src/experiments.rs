@@ -241,7 +241,7 @@ pub fn e3(quick: bool) -> Table {
             .iter()
             .find(|&&m| !hsvc.sim.process(m).app().is_rep(LGID))
             .expect("non-rep member");
-        let leaf = hsvc.sim.process(victim).app().leaf_of(LGID).unwrap();
+        let leaf = hsvc.sim.process(victim).app().leaf_of(LGID).expect("a member belongs to a leaf");
         let peers = hsvc.leaf_members(leaf);
         let all: Vec<Pid> = hsvc
             .members
@@ -329,7 +329,7 @@ pub fn e4(quick: bool) -> Table {
                 .invoke(fsvc.client, move |p, ctx| {
                     p.with_app(ctx, |app, up| app.send_request(&members, "PUT a 1", up))
                 })
-                .unwrap();
+                .expect("the client is alive");
             fsvc.sim.run_for(SimDuration::from_secs(30));
             fsvc.sim.process(fsvc.client).app().replies.contains_key(&req)
         };
@@ -389,8 +389,8 @@ pub fn e5(quick: bool) -> Table {
             .members
             .iter()
             .find(|&&m| !hsvc.sim.process(m).app().is_rep(LGID))
-            .unwrap();
-        let leaf = hsvc.sim.process(victim).app().leaf_of(LGID).unwrap();
+            .expect("non-rep member");
+        let leaf = hsvc.sim.process(victim).app().leaf_of(LGID).expect("a member belongs to a leaf");
         let peers = hsvc.leaf_members(leaf);
         let t0 = hsvc.sim.now();
         hsvc.sim.crash(victim);
@@ -476,8 +476,8 @@ pub fn e6(quick: bool) -> Table {
             .members
             .iter()
             .find(|&&m| !hsvc.sim.process(m).app().is_rep(LGID))
-            .unwrap();
-        let leaf = hsvc.sim.process(victim).app().leaf_of(LGID).unwrap();
+            .expect("non-rep member");
+        let leaf = hsvc.sim.process(victim).app().leaf_of(LGID).expect("a member belongs to a leaf");
         let peers = hsvc.leaf_members(leaf);
         let leaf_size = peers.len();
         hsvc.sim.crash(victim);
@@ -672,7 +672,7 @@ pub fn e8(quick: bool) -> Table {
                 .process(h.leaders[0])
                 .app()
                 .leader_view(LGID)
-                .unwrap()
+                .expect("the leader holds the view")
                 .clone();
             h.sim.stats_mut().enable_fanout_tracking();
             h.sim.stats_mut().reset_window();
@@ -846,7 +846,7 @@ pub fn a1(quick: bool) -> Table {
             let mut h = hier_service(n, cfg.clone(), 4_000 + n as u64);
             h.sim.run_for(SimDuration::from_secs(2));
             let dir = h.directory();
-            let leaf = dir.last().unwrap().0;
+            let leaf = dir.last().expect("the hierarchy has a leaf").0;
             let rep = h.leaf_members(leaf)[0];
             h.sim.stats_mut().reset_window();
             h.sim.crash(rep);
@@ -932,7 +932,7 @@ pub fn a2(quick: bool) -> Table {
             .process(h.leaders[0])
             .app()
             .leader_view(LGID)
-            .unwrap();
+            .expect("the leader holds the view");
         vec![vec![
             format!("[{lo},{hi}]"),
             st.counter("hier.splits").to_string(),

@@ -174,6 +174,10 @@ pub(crate) struct ViewChangeLead<P> {
     pub proposal: GroupView,
     /// Old-view members expected to ack (includes the leader itself).
     pub participants: Vec<Pid>,
+    /// How many entries of `pending_joiners` the proposal appends. The list
+    /// only grows until the next install, so a joiner past this count is
+    /// one the proposal lacks.
+    pub joiners: usize,
     pub acks: BTreeMap<Pid, crate::msg::RelaySet<P>>,
     /// Highest current-view id reported by any participant, used to pick a
     /// fresh target view id after a botched install.
@@ -239,13 +243,22 @@ pub(crate) struct GroupRuntime<A: Application> {
     stab_seen: BTreeMap<Pid, StabilityVector>,
 
     // --- liveness ---
-    pub(crate) last_heard: BTreeMap<Pid, SimTime>,
+    /// When the current view was installed: every member counts as heard
+    /// from at that instant, so installing costs nothing per member.
+    pub(crate) live_since: SimTime,
+    /// Evidence later than `live_since`, for view members other than this
+    /// one: when each was last heard from. Sparse until the failure detector
+    /// first looks past `fd_timeout`, which fills in every silent member at
+    /// `live_since` (see [`GroupRuntime::check_fd`]).
+    pub(crate) heard: BTreeMap<Pid, SimTime>,
     pub(crate) suspects: BTreeSet<Pid>,
     last_hb_sent: SimTime,
 
     // --- membership ---
     pub(crate) flush_acked: (ViewId, u64),
-    pub(crate) vc: Option<ViewChangeLead<A::Payload>>,
+    /// Boxed: a runtime sits inline in its process's group map, and the
+    /// lead exists only while this member runs a flush.
+    pub(crate) vc: Option<Box<ViewChangeLead<A::Payload>>>,
     pub(crate) pending_joiners: Vec<Pid>,
     pub(crate) pending_leavers: Vec<Pid>,
     pub(crate) leaving: bool,
@@ -284,7 +297,7 @@ impl<A: Application> GroupRuntime<A> {
     }
 
     fn with_view(view: GroupView, me: Pid, now: SimTime) -> GroupRuntime<A> {
-        let mut rt = GroupRuntime {
+        GroupRuntime {
             gid: view.gid,
             me,
             view,
@@ -306,7 +319,8 @@ impl<A: Application> GroupRuntime<A> {
             stale_total: false,
             marks: BTreeMap::new(),
             stab_seen: BTreeMap::new(),
-            last_heard: BTreeMap::new(),
+            live_since: now,
+            heard: BTreeMap::new(),
             suspects: BTreeSet::new(),
             last_hb_sent: now,
             flush_acked: (0, 0),
@@ -318,9 +332,7 @@ impl<A: Application> GroupRuntime<A> {
             future_inbox: Vec::new(),
             in_relay: false,
             stab_dirty: true,
-        };
-        rt.reset_liveness(now);
-        rt
+        }
     }
 
     /// The current delivery cut, captured at the same instant as an
@@ -365,19 +377,22 @@ impl<A: Application> GroupRuntime<A> {
     }
 
     pub(crate) fn reset_liveness(&mut self, now: SimTime) {
-        self.last_heard = self
-            .view
-            .members
-            .iter()
-            .filter(|&&m| m != self.me)
-            .map(|&m| (m, now))
-            .collect();
+        self.live_since = now;
+        self.heard.clear();
     }
 
-    /// Records liveness evidence from `from`.
+    /// Records liveness evidence from `from`, if it is another member of
+    /// the view. Evidence no later than the install adds nothing.
     pub(crate) fn heard_from(&mut self, from: Pid, now: SimTime) {
-        if let Some(t) = self.last_heard.get_mut(&from) {
+        if let Some(t) = self.heard.get_mut(&from) {
             *t = (*t).max(now);
+        } else if now > self.live_since
+            && from != self.me
+            // Once every peer has an entry, a miss is a non-member.
+            && self.heard.len() + 1 < self.view.size()
+            && self.view.contains(from)
+        {
+            self.heard.insert(from, now);
         }
     }
 
@@ -1003,7 +1018,8 @@ impl<A: Application> GroupRuntime<A> {
                 .values()
                 .map(StabilityVector::wire_bytes)
                 .sum::<usize>()
-            + self.last_heard.len() * 12
+            // One liveness entry per peer, as if every one were recorded.
+            + self.view.size().saturating_sub(1) * 12
             + self.suspects.len() * 4
             + self.cvt.storage_bytes()
             + self.fdel.storage_bytes()

@@ -18,7 +18,7 @@ use now_sim::Pid;
 use crate::app::Application;
 use crate::group::{Effect, Env, GroupRuntime, Status, ViewChangeLead};
 use crate::msg::{IsisMsg, RelaySet, StabilityVector};
-use crate::types::{GroupView, MsgId, ViewId};
+use crate::types::{has, GroupView, MsgId, ViewId};
 use crate::vclock::VClock;
 
 impl<A: Application> GroupRuntime<A> {
@@ -103,8 +103,25 @@ impl<A: Application> GroupRuntime<A> {
         }
         let now = env.now();
         let timeout = env.cfg.fd_timeout;
+        if now.since(self.live_since) <= timeout {
+            // Every member counts as heard from at the install.
+            return;
+        }
+        if self.heard.len() + 1 < self.view.size() {
+            // The first look past the install: a member never heard from
+            // since is as silent as the install is old. Built in one pass,
+            // the map is as dense as one made at the install.
+            let heard = std::mem::take(&mut self.heard);
+            self.heard = self
+                .view
+                .members
+                .iter()
+                .filter(|&&m| m != self.me)
+                .map(|&m| (m, heard.get(&m).copied().unwrap_or(self.live_since)))
+                .collect();
+        }
         let overdue: Vec<Pid> = self
-            .last_heard
+            .heard
             .iter()
             .filter(|(p, &t)| now.since(t) > timeout && !self.suspects.contains(p))
             .map(|(&p, _)| p)
@@ -158,7 +175,7 @@ impl<A: Application> GroupRuntime<A> {
             );
             return;
         }
-        if !self.pending_joiners.contains(&joiner) {
+        if !has(&self.pending_joiners, joiner) {
             self.pending_joiners.push(joiner);
         }
         self.act_on_pending_changes(env);
@@ -196,7 +213,12 @@ impl<A: Application> GroupRuntime<A> {
 
     /// The oldest non-suspected member.
     pub(crate) fn leader(&self) -> Pid {
-        self.survivors().first().copied().unwrap_or(self.me)
+        self.view
+            .members
+            .iter()
+            .copied()
+            .find(|m| !self.suspects.contains(m))
+            .unwrap_or(self.me)
     }
 
     // ------------------------------------------------------------------
@@ -235,15 +257,14 @@ impl<A: Application> GroupRuntime<A> {
             Some(vc) => {
                 // Restart only if the world changed under the running
                 // attempt (new suspects among its participants, or new
-                // joiners/leavers not reflected in its proposal).
+                // joiners/leavers not reflected in its proposal). The
+                // proposal holds the first `vc.joiners` pending joiners, and
+                // a later one is in neither the view nor that prefix.
                 let stale = vc
                     .participants
                     .iter()
                     .any(|p| self.suspects.contains(p))
-                    || self
-                        .pending_joiners
-                        .iter()
-                        .any(|j| !vc.proposal.contains(*j))
+                    || self.pending_joiners.len() > vc.joiners
                     || self
                         .pending_leavers
                         .iter()
@@ -263,20 +284,41 @@ impl<A: Application> GroupRuntime<A> {
                 leaving.push(l);
             }
         }
-        let joining: Vec<Pid> = self
-            .pending_joiners
-            .iter()
-            .copied()
-            .filter(|j| !self.view.contains(*j))
-            .collect();
         let base_view = self
             .vc
             .as_ref()
             .map(|vc| vc.max_member_view)
             .unwrap_or(self.view.view_id)
             .max(self.view.view_id);
-        let mut proposal = self.view.successor(&leaving, &joining);
-        proposal.view_id = base_view + 1;
+        // No pending joiner is a view member (`handle_join_forward` answers
+        // those with an install, and an install clears the list), and each
+        // is queued once: the successor is the view less the leavers, then
+        // every pending joiner in arrival order, built in one pass.
+        let mut members: Vec<Pid> = self
+            .view
+            .members
+            .iter()
+            .copied()
+            .filter(|m| !leaving.contains(m))
+            .collect();
+        members.extend_from_slice(&self.pending_joiners);
+        let proposal = GroupView {
+            gid: self.gid,
+            view_id: base_view + 1,
+            members,
+        };
+        #[cfg(debug_assertions)]
+        {
+            let joining: Vec<Pid> = self
+                .pending_joiners
+                .iter()
+                .copied()
+                .filter(|j| !self.view.contains(*j))
+                .collect();
+            let mut rebuilt = self.view.successor(&leaving, &joining);
+            rebuilt.view_id = proposal.view_id;
+            debug_assert_eq!(proposal, rebuilt, "the proposal must be the view's successor");
+        }
 
         if env.cfg.partition_safety && !proposal.is_majority_of(&self.view) {
             self.status = Status::Stalled;
@@ -296,13 +338,14 @@ impl<A: Application> GroupRuntime<A> {
             retry_round,
             proposal: proposal.clone(),
             participants: participants.clone(),
+            joiners: self.pending_joiners.len(),
             acks: Default::default(),
             max_member_view: self.view.view_id,
             max_ack_floor: self.my_stab().adel,
             started: env.now(),
         };
         vc.acks.insert(self.me, self.collect_unstable());
-        self.vc = Some(vc);
+        self.vc = Some(Box::new(vc));
         env.ctx.bump("isis.flushes_started");
         let (tgid, tview) = (self.gid.0, proposal.view_id);
         env.ctx
@@ -578,5 +621,88 @@ impl<A: Application> GroupRuntime<A> {
             self.act_on_pending_changes(env);
         }
     }
+}
 
+#[cfg(test)]
+mod tests {
+    use now_sim::{Pid, SimDuration, SimTime};
+
+    use crate::config::IsisConfig;
+    use crate::testutil::{cluster, Cluster};
+
+    fn count(c: &Cluster, name: &str) -> u64 {
+        c.sim.stats().counter(name)
+    }
+
+    /// A crashed member falls silent: the survivors suspect it once its
+    /// last heartbeat is `fd_timeout` old, and never suspect the members
+    /// that keep heartbeating.
+    #[test]
+    fn a_silent_member_is_suspected_after_fd_timeout_and_heard_ones_are_not() {
+        let cfg = IsisConfig::default();
+        let mut c = cluster(4, cfg.clone(), 5);
+        c.sim.run_for(cfg.fd_timeout * 3);
+        assert_eq!(count(&c, "isis.suspicions"), 0, "heartbeats keep every member heard from");
+        let crashed_at = c.sim.now();
+        c.sim.crash(c.pids[3]);
+        while count(&c, "isis.suspicions") == 0 {
+            assert!(c.sim.now().since(crashed_at) < cfg.fd_timeout * 2, "never suspected");
+            c.sim.run_for(SimDuration::from_millis(1));
+        }
+        let silent = c.sim.now().since(crashed_at);
+        assert!(
+            silent > cfg.fd_timeout - cfg.heartbeat && silent <= cfg.fd_timeout + cfg.tick,
+            "suspected {silent:?} after the crash"
+        );
+        c.await_membership(3, SimDuration::from_secs(10));
+    }
+
+    /// Members never heard from since the install are as silent as the
+    /// install is old, and `check_fd` notes them in pid order. Here the
+    /// oldest member is one of them: noting it first makes the observer
+    /// the leader, which starts a flush and restarts it for the second.
+    /// The other order would report the second to the oldest and start one
+    /// flush.
+    #[test]
+    fn members_silent_since_the_install_are_suspected_in_pid_order() {
+        let cfg = IsisConfig::default();
+        let timeout = cfg.fd_timeout;
+        let mut c = cluster(5, cfg, 9);
+        c.sim.run_for(timeout * 2);
+        let (gid, p) = (c.gid, c.pids.clone());
+        assert!(p.windows(2).all(|w| w[0] < w[1]), "members are in pid order");
+        let (flushes, reports) = (count(&c, "isis.flushes_started"), count(&c, "isis.sent.suspect"));
+        let suspects = c
+            .sim
+            .invoke(p[1], move |proc_, ctx| {
+                proc_.drive(gid, ctx, |rt, env| {
+                    let now = env.now();
+                    // The install was two timeouts ago; since then p[2]
+                    // and p[4] were heard from, p[0] and p[3] never.
+                    rt.reset_liveness(SimTime(now.0 - 2 * timeout.as_micros()));
+                    rt.heard_from(p[2], now);
+                    rt.heard_from(p[4], now);
+                    rt.check_fd(env);
+                    rt.suspects.iter().copied().collect::<Vec<Pid>>()
+                })
+            })
+            .expect("alive")
+            .expect("member");
+        assert_eq!(suspects, vec![c.pids[0], c.pids[3]]);
+        assert_eq!(count(&c, "isis.flushes_started") - flushes, 2);
+        assert_eq!(count(&c, "isis.sent.suspect") - reports, 0);
+    }
+
+    /// Installing a view records no liveness entry per member, while the
+    /// storage estimate still counts one per peer: the number a 64-member
+    /// group has always reported.
+    #[test]
+    fn install_records_no_liveness_per_member() {
+        let c = cluster(64, IsisConfig::default(), 7);
+        for &m in &c.pids {
+            let rt = c.sim.process(m).runtime(c.gid).expect("member");
+            assert!(rt.heard.len() < 63, "{m} holds a liveness entry per peer");
+            assert_eq!(c.sim.process(m).membership_storage_bytes(c.gid), 1_028);
+        }
+    }
 }

@@ -153,6 +153,18 @@ impl<A: Application> IsisProcess<A> {
         self.groups.get(&gid)
     }
 
+    /// Runs `f` against the runtime of `gid`, for unit tests that drive one
+    /// protocol step by hand.
+    #[cfg(test)]
+    pub(crate) fn drive<R>(
+        &mut self,
+        gid: GroupId,
+        ctx: &mut Ctx<'_, MsgOf<A>>,
+        f: impl FnOnce(&mut GroupRuntime<A>, &mut Env<'_, '_, A>) -> R,
+    ) -> Option<R> {
+        self.with_group(gid, ctx, f)
+    }
+
     // ------------------------------------------------------------------
     // Public protocol entry points (invoke from the harness)
     // ------------------------------------------------------------------

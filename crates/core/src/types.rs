@@ -105,13 +105,10 @@ pub struct GroupView {
     pub members: Vec<Pid>,
 }
 
-/// Whether `p` is in `members`. A burst of n joins has the coordinator scan
-/// the proposed view once per pending joiner on every arrival (~n³/3
-/// compares), so this scan is most of a large flat group's formation time.
-/// No early exit inside a chunk lets the compiler vectorise it; the one-
-/// compare-per-iteration loop ran 30 % slower whenever the linker happened
-/// to place it across a cache line.
-fn has(members: &[Pid], p: Pid) -> bool {
+/// Whether `p` is in `members`. No early exit inside a chunk lets the
+/// compiler vectorise it; the one-compare-per-iteration loop ran 30 % slower
+/// whenever the linker happened to place it across a cache line.
+pub(crate) fn has(members: &[Pid], p: Pid) -> bool {
     members
         .chunks(16)
         .any(|c| c.iter().fold(false, |hit, &m| hit | (m == p)))
@@ -264,6 +261,10 @@ mod tests {
         assert_eq!(s.view_id, 4);
         // Pid(3) was already present: not duplicated; Pid(7) appended last.
         assert_eq!(s.members, vec![Pid(1), Pid(3), Pid(7)]);
+        // A repeated joiner is appended once, at its first position; a
+        // leaver that also joins goes to the end.
+        let s = v.successor(&[Pid(2)], &[Pid(7), Pid(2), Pid(7), Pid(5)]);
+        assert_eq!(s.members, vec![Pid(1), Pid(3), Pid(7), Pid(2), Pid(5)]);
     }
 
     #[test]

@@ -541,6 +541,31 @@ fn without_partition_safety_both_sides_diverge_by_design() {
 }
 
 // ---------------------------------------------------------------------
+// Join bursts
+// ---------------------------------------------------------------------
+
+/// `(flushes started, views installed, messages sent)` while `n - 1`
+/// processes join a singleton group at once.
+fn join_burst_counts(n: usize) -> (u64, u64, u64) {
+    let c = cluster(n, IsisConfig::quiet(), 7);
+    let st = c.sim.stats();
+    (
+        st.counter("isis.flushes_started"),
+        st.counter("isis.views_installed"),
+        st.messages_sent,
+    )
+}
+
+/// The first joiner gets a view of two; every later arrival restarts the
+/// running flush (one `Flush` to the first joiner each), and one install
+/// admits the rest. A cheaper restart must not remove a message.
+#[test]
+fn join_burst_restarts_the_flush_once_per_arrival() {
+    assert_eq!(join_burst_counts(64), (63, 3, 251));
+    assert_eq!(join_burst_counts(256), (255, 3, 1_019));
+}
+
+// ---------------------------------------------------------------------
 // Liveness bookkeeping
 // ---------------------------------------------------------------------
 

@@ -17,9 +17,9 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::scrub::{scrub, Line};
+use crate::scrub::Line;
 use crate::tok::{is_ident, path_chain, tokenize, Token};
-use crate::{Finding, Rule, SourceFile};
+use crate::{Finding, Rule};
 
 /// Crates whose source participates in the message-flow graph.
 const FLOW_SCOPE: [&str; 6] = [
@@ -151,18 +151,17 @@ pub fn extract_enums(rel: &str, lines: &[Line]) -> Vec<EnumDef> {
     out
 }
 
-/// All non-test enum definitions in the workspace, whatever their name.
-pub fn collect_enum_defs(files: &[SourceFile]) -> Vec<EnumDef> {
-    let mut out = Vec::new();
-    for f in files {
-        let lines = scrub(&f.text);
-        out.extend(
-            extract_enums(&f.rel, &lines)
+/// All non-test enum definitions in a scrubbed file set (see
+/// [`crate::scrub_files`]), whatever their name.
+pub fn collect_enum_defs(scrubbed: &BTreeMap<&str, Vec<Line>>) -> Vec<EnumDef> {
+    scrubbed
+        .iter()
+        .flat_map(|(&rel, lines)| {
+            extract_enums(rel, lines)
                 .into_iter()
-                .filter(|e| !lines[e.line - 1].in_test),
-        );
-    }
-    out
+                .filter(|e| !lines[e.line - 1].in_test)
+        })
+        .collect()
 }
 
 /// Extracts every `match` expression (with parsed arms) and, alongside,
@@ -531,6 +530,8 @@ pub fn lint_flow(scrubbed: &BTreeMap<&str, Vec<Line>>) -> Vec<Finding> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scrub::scrub;
+    use crate::SourceFile;
 
     #[test]
     fn enum_parser_reads_variants_with_payloads_and_attrs() {

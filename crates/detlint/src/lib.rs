@@ -117,10 +117,15 @@ pub struct SourceFile {
     pub text: String,
 }
 
+/// Scrubs every file once, keyed by its workspace-relative path: the form
+/// every rule reads.
+pub fn scrub_files(files: &[SourceFile]) -> BTreeMap<&str, Vec<Line>> {
+    files.iter().map(|f| (f.rel.as_str(), scrub(&f.text))).collect()
+}
+
 /// Lints a set of files under all four rules.
 pub fn lint_files(files: &[SourceFile]) -> Vec<Finding> {
-    let scrubbed: BTreeMap<&str, Vec<Line>> =
-        files.iter().map(|f| (f.rel.as_str(), scrub(&f.text))).collect();
+    let scrubbed = scrub_files(files);
     let mut out: Vec<Finding> =
         scrubbed.iter().flat_map(|(rel, lines)| lint_lines(rel, lines)).collect();
     out.extend(lint_r4(&scrubbed));
@@ -368,10 +373,18 @@ mod tests {
         for lint in ["unwrap_used", "allow_attributes", "allow_attributes_without_reason", "unsafe_code"] {
             assert!(manifest.contains(&format!("\n{lint} = \"deny\"")), "{lint} must be denied");
         }
-        for c in ["trace", "sim", "core", "hier", "toolkit", "chaos", "net"] {
-            let m = read(&format!("crates/{c}/Cargo.toml"));
-            assert!(m.contains("[lints]\nworkspace = true"), "crates/{c} must take the workspace lints");
+        // Every package, the root facade (`src/`, `tests/`, `examples/`)
+        // included, takes the workspace lints.
+        let packages = [
+            "", "crates/trace/", "crates/sim/", "crates/core/", "crates/hier/", "crates/toolkit/",
+            "crates/chaos/", "crates/net/", "crates/apps/", "crates/bench/", "crates/detlint/",
+        ];
+        for p in packages {
+            let m = read(&format!("{p}Cargo.toml"));
+            assert!(m.contains("[lints]\nworkspace = true"), "{p}Cargo.toml must take the workspace lints");
         }
+        let crates = std::fs::read_dir(default_root().join("crates")).expect("crates/ readable").count();
+        assert_eq!(packages.len(), crates + 1, "a package is missing from the list");
     }
 
     #[test]

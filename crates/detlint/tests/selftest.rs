@@ -5,7 +5,7 @@
 //! analyzer parses the real protocol enums (zero enums is also "clean").
 
 use detlint::flow::{collect_enum_defs, is_flow_enum_name};
-use detlint::{collect_workspace, default_root, lint_files, Finding, Rule, SourceFile};
+use detlint::{collect_workspace, default_root, lint_files, scrub_files, Finding, Rule, SourceFile};
 use std::fs::read_to_string;
 
 fn sf(rel: &str, text: &str) -> SourceFile {
@@ -93,7 +93,7 @@ fn r7_seeded_dead_surface_fires_with_spans() {
 #[test]
 fn pin_flow_analyzer_sees_the_protocol_enums() {
     let files = collect_workspace(&default_root()).expect("workspace readable");
-    let enums = collect_enum_defs(&files);
+    let enums = collect_enum_defs(&scrub_files(&files));
     for (name, want_variants) in [
         ("IsisMsg", 13),
         ("HierPayload", 4),

@@ -15,7 +15,7 @@ fn main() {
     let cfg = LargeGroupConfig::new(3, 4); // resiliency 3, fanout 4.
     let mut c = large_cluster(60, cfg, 7);
 
-    let v = c.leader_hier_view().unwrap().clone();
+    let v = c.leader_hier_view().expect("the leader holds the view").clone();
     println!(
         "large group formed: {} members in {} leaves, tree depth {}, epoch {}",
         v.total_members(),
@@ -55,7 +55,7 @@ fn main() {
     );
 
     // Total leaf failure: the paper's headline repair case.
-    let doomed = v.leaves.last().unwrap().gid;
+    let doomed = v.leaves.last().expect("the hierarchy has a leaf").gid;
     let doomed_members: Vec<_> = c
         .members
         .iter()
@@ -70,7 +70,7 @@ fn main() {
         c.sim.crash(*m);
     }
     c.run_for(SimDuration::from_secs(30));
-    let v2 = c.leader_hier_view().unwrap().clone();
+    let v2 = c.leader_hier_view().expect("the leader holds the view").clone();
     println!(
         "repaired: {} leaves, epoch {} (dead leaf removed: {})",
         v2.num_leaves(),

@@ -19,8 +19,8 @@ fn name_service_prologue(lgid: LargeGroupId, leader_contacts: Vec<Pid>) {
     let nodes = sim.add_nodes(3);
     let s0 = sim.spawn(nodes[0], IsisProcess::with_defaults(NameService::new()));
     let s1 = sim.spawn(nodes[1], IsisProcess::with_defaults(NameService::new()));
-    sim.invoke(s0, move |p, ctx| p.create_group(ns_gid, ctx).unwrap());
-    sim.invoke(s1, move |p, ctx| p.join(ns_gid, s0, ctx).unwrap());
+    sim.invoke(s0, move |p, ctx| p.create_group(ns_gid, ctx).expect("fresh gid cannot collide"));
+    sim.invoke(s1, move |p, ctx| p.join(ns_gid, s0, ctx).expect("the group was just created"));
     sim.run_for(SimDuration::from_secs(5));
     let lc = leader_contacts.clone();
     sim.invoke(s0, move |p, ctx| {
@@ -33,7 +33,7 @@ fn name_service_prologue(lgid: LargeGroupId, leader_contacts: Vec<Pid>) {
         .invoke(client, move |p, ctx| {
             p.with_app(ctx, |app, up| app.resolve(s1, "the-floor", up))
         })
-        .unwrap();
+        .expect("the client is alive");
     sim.run_for(SimDuration::from_secs(1));
     let answer = sim.process(client).app().answers.get(&ticket).cloned();
     println!(
@@ -48,8 +48,8 @@ fn main() {
     let lgid = c.lgid;
     println!(
         "formed: {} members in {} leaves",
-        c.leader_hier_view().unwrap().total_members(),
-        c.leader_hier_view().unwrap().num_leaves()
+        c.leader_hier_view().expect("the leader holds the view").total_members(),
+        c.leader_hier_view().expect("the leader holds the view").num_leaves()
     );
 
     name_service_prologue(lgid, c.leaders.clone());
@@ -66,8 +66,8 @@ fn main() {
     }
 
     // Total leaf failure.
-    let v = c.leader_hier_view().unwrap().clone();
-    let doomed = v.leaves.last().unwrap().gid;
+    let v = c.leader_hier_view().expect("the leader holds the view").clone();
+    let doomed = v.leaves.last().expect("the hierarchy has a leaf").gid;
     let members: Vec<_> = c
         .members
         .iter()
@@ -111,7 +111,7 @@ fn main() {
         .iter()
         .filter(|(_, l)| l.contains(&"all-hands".to_string()))
         .count();
-    let v = c.leader_hier_view().unwrap();
+    let v = c.leader_hier_view().expect("the leader holds the view");
     println!(
         "final: {got}/{total} survivors delivered; {} leaves, epoch {}",
         v.num_leaves(),

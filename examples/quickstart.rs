@@ -23,7 +23,7 @@ fn main() {
         c.sim.invoke(p, move |proc_, ctx| {
             proc_
                 .cast(gid, CastKind::Total, format!("hello-from-{i}"), ctx)
-                .unwrap();
+                .expect("the caster is a member");
         });
     }
     c.sim.run_for(SimDuration::from_secs(2));
