@@ -681,14 +681,11 @@ pub fn e8(quick: bool) -> Table {
             h.sim.invoke(origin, move |p, ctx| {
                 p.with_app(ctx, |app, up| {
                     app.with_business(up, |_biz, lup| {
-                        let me = lup.me();
-                        lup.lbcast(
-                            LGID,
-                            isis_toolkit::hier::HSvcMsg::Reply {
-                                req: isis_toolkit::ReqId { client: me, seq: 0 },
-                                reply: "bcast".into(),
-                            },
-                        );
+                        let reply = isis_toolkit::cohort::SvcMsg::Reply {
+                            req: isis_toolkit::ReqId { client: lup.me(), seq: 0 },
+                            reply: "bcast".into(),
+                        };
+                        lup.lbcast(LGID, reply.into());
                     });
                 });
             });

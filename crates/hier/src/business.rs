@@ -189,8 +189,11 @@ pub trait LargeApp: Sized + 'static {
 
     /// This process is about to migrate between leaves (split/dissolve):
     /// called before it joins `to_leaf`, while its state still reflects
-    /// `from_leaf`. Applications with leaf-scoped data snapshot what they
-    /// must carry here.
+    /// `from_leaf`. The state transfer into the target leaf
+    /// ([`LargeApp::import_leaf_state`]) comes *after* this call and
+    /// replaces leaf-scoped state, so an application that carries data
+    /// across must keep it apart from what the import overwrites. The first
+    /// [`LargeApp::on_leaf_view`] of the target leaf marks the arrival.
     fn on_migrating(
         &mut self,
         _lgid: LargeGroupId,
@@ -200,7 +203,9 @@ pub trait LargeApp: Sized + 'static {
     ) {
     }
 
-    /// This process completed its admission into a large group.
+    /// This process completed its admission into a large group. Fires once
+    /// per admission, never after a split or dissolve migration between
+    /// leaves.
     fn on_joined_large(
         &mut self,
         _lgid: LargeGroupId,

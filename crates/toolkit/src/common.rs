@@ -51,16 +51,6 @@ impl KvState {
         hit
     }
 
-    /// Number of keys.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the store is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Iterates entries in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&String, &String)> {
         self.entries.iter()
@@ -75,29 +65,18 @@ impl KvState {
 /// pure message-counting experiments payload-agnostic.
 pub fn apply_command(state: &mut KvState, body: &str) -> String {
     let mut it = body.split_whitespace();
-    match it.next() {
-        Some("GET") => {
-            let k = it.next().unwrap_or("");
-            state.get(k).cloned().unwrap_or_else(|| "<nil>".into())
-        }
+    let cmd = it.next();
+    let k = it.next().unwrap_or("");
+    let mut arg = || it.next().unwrap_or("");
+    match cmd {
+        Some("GET") => state.get(k).cloned().unwrap_or_else(|| "<nil>".into()),
         Some("PUT") => {
-            let k = it.next().unwrap_or("");
-            let v = it.next().unwrap_or("");
-            state.put(k, v);
+            state.put(k, arg());
             "OK".into()
         }
-        Some("DEL") => {
-            let k = it.next().unwrap_or("");
-            if state.remove(k) {
-                "OK".into()
-            } else {
-                "<nil>".into()
-            }
-        }
+        Some("DEL") => if state.remove(k) { "OK" } else { "<nil>" }.into(),
         Some("CAS") => {
-            let k = it.next().unwrap_or("");
-            let old = it.next().unwrap_or("");
-            let new = it.next().unwrap_or("");
+            let (old, new) = (arg(), arg());
             let cur = state.get(k).cloned().unwrap_or_default();
             if cur == old {
                 state.put(k, new);
@@ -107,15 +86,11 @@ pub fn apply_command(state: &mut KvState, body: &str) -> String {
             }
         }
         Some("ADD") => {
-            let k = it.next().unwrap_or("");
-            let delta: i64 = it.next().and_then(|s| s.parse().ok()).unwrap_or(0);
-            let cur: i64 = state
-                .get(k)
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(0);
-            let new = cur + delta;
-            state.put(k, &new.to_string());
-            new.to_string()
+            let delta: i64 = arg().parse().unwrap_or(0);
+            let cur: i64 = state.get(k).and_then(|s| s.parse().ok()).unwrap_or(0);
+            let new = (cur + delta).to_string();
+            state.put(k, &new);
+            new
         }
         _ => format!("ECHO {body}"),
     }

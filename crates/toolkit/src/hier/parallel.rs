@@ -2,18 +2,27 @@
 //! subdivided *along the tree* — each representative hands at most
 //! `fanout` child subtrees their share plus splits its own leaf's share
 //! among leaf members, and partial results fold back up the same paths.
-//! No process talks to more than `fanout + leaf_size` others, in contrast
-//! to the flat tool's single initiator contacting all `n` members.
+//! No process talks to more than `fanout + leaf_size` others, where a
+//! flat scatter would have one initiator contact all `n` members.
 
 use std::collections::BTreeMap;
 
 use now_sim::Pid;
 
-use isis_core::{CastKind, GroupId, GroupView};
+use isis_core::GroupView;
 
 use isis_hier::{LargeApp, LargeGroupId, LargeUplink};
 
-pub use crate::flat::parallel::{expected_sum, kernel};
+/// The deterministic work kernel: cheap, non-trivial, verifiable. A task
+/// computes `sum of kernel(i) for i in lo..hi`.
+pub fn kernel(i: u64) -> u64 {
+    (i.wrapping_mul(2_654_435_761) % 1_000) + 1
+}
+
+/// Reference result for `lo..hi`, for test verification.
+pub fn expected_sum(lo: u64, hi: u64) -> u64 {
+    (lo..hi).map(kernel).sum()
+}
 
 /// Number of leaves in the subtree rooted at `idx` of an implicit
 /// `fanout`-ary tree over `n` leaves.
@@ -72,8 +81,6 @@ pub struct TreeParallel {
     folds: BTreeMap<u64, Fold>,
     /// Completed tasks at their origins.
     pub results: BTreeMap<u64, u64>,
-    /// The root-rep contact used to start tasks (directory role).
-    pub root_contact: Option<Pid>,
 }
 
 impl TreeParallel {
@@ -85,7 +92,6 @@ impl TreeParallel {
             next_task: 0,
             folds: BTreeMap::new(),
             results: BTreeMap::new(),
-            root_contact: None,
         }
     }
 
@@ -261,16 +267,6 @@ impl LargeApp for TreeParallel {
         }
     }
 
-    fn on_leaf_cast(
-        &mut self,
-        _leaf: GroupId,
-        _from: Pid,
-        _kind: CastKind,
-        _payload: &HParMsg,
-        _up: &mut LargeUplink<'_, '_, '_, Self>,
-    ) {
-    }
-
     fn on_leaf_view(
         &mut self,
         _lgid: LargeGroupId,
@@ -304,5 +300,22 @@ mod tests {
     #[test]
     fn subtree_of_leafless_index_is_zero() {
         assert_eq!(subtree_leaves(99, 10, 3), 0);
+    }
+
+    #[test]
+    fn kernel_is_deterministic_and_bounded() {
+        assert_eq!(kernel(42), kernel(42));
+        for i in 0..1_000 {
+            let k = kernel(i);
+            assert!((1..=1_000).contains(&k));
+        }
+    }
+
+    #[test]
+    fn expected_sum_is_additive() {
+        assert_eq!(
+            expected_sum(0, 100),
+            expected_sum(0, 40) + expected_sum(40, 100)
+        );
     }
 }

@@ -1,12 +1,7 @@
 //! Property-based tests of the toolkit: the command language over the
-//! replicated store, and the mutual-exclusion tool's safety/liveness
-//! invariants under random schedules.
+//! replicated store, and the tree subdivision math of the parallel tool.
 
-use isis_core::testutil::generic_cluster;
-use isis_core::{GroupId, IsisConfig};
 use isis_toolkit::common::{apply_command, KvState};
-use isis_toolkit::flat::FlatMutex;
-use now_sim::{Pid, SimConfig, SimDuration};
 use now_sim::detprop::prelude::*;
 
 // ---------------------------------------------------------------------
@@ -63,117 +58,6 @@ proptest! {
         prop_assert_eq!(forward.get("k"), backward.get("k"));
         let total: i64 = deltas.iter().sum();
         prop_assert_eq!(forward.get("k").unwrap(), &total.to_string());
-    }
-}
-
-// ---------------------------------------------------------------------
-// Mutual exclusion under random schedules
-// ---------------------------------------------------------------------
-
-#[derive(Clone, Debug)]
-enum MxOp {
-    Acquire { who: usize, lock: u8 },
-    Release { who: usize, lock: u8 },
-    Crash { who: usize },
-    Wait { ms: u64 },
-}
-
-fn mx_strategy() -> impl Strategy<Value = MxOp> {
-    prop_oneof![
-        4 => (0usize..8, 0u8..2).prop_map(|(who, lock)| MxOp::Acquire { who, lock }),
-        3 => (0usize..8, 0u8..2).prop_map(|(who, lock)| MxOp::Release { who, lock }),
-        1 => (0usize..8).prop_map(|who| MxOp::Crash { who }),
-        3 => (50u64..400).prop_map(|ms| MxOp::Wait { ms }),
-    ]
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
-
-    #[test]
-    fn mutex_safety_under_random_schedules(
-        ops in prop::collection::vec(mx_strategy(), 1..30),
-        seed in 0u64..10_000,
-    ) {
-        const N: usize = 5;
-        let gid = GroupId(3);
-        let (mut sim, pids) = generic_cluster(
-            N,
-            gid,
-            IsisConfig::default(),
-            SimConfig::ideal(seed),
-            |_| FlatMutex::new(),
-        );
-        let mut crashes = 0;
-        for op in &ops {
-            match op {
-                MxOp::Acquire { who, lock } => {
-                    let alive: Vec<Pid> =
-                        pids.iter().copied().filter(|&p| sim.is_alive(p)).collect();
-                    let p = alive[who % alive.len()];
-                    let l = format!("L{lock}");
-                    sim.invoke(p, move |proc_, ctx| {
-                        proc_.with_app(ctx, |app, up| app.acquire(&l, up));
-                    });
-                }
-                MxOp::Release { who, lock } => {
-                    let alive: Vec<Pid> =
-                        pids.iter().copied().filter(|&p| sim.is_alive(p)).collect();
-                    let p = alive[who % alive.len()];
-                    let l = format!("L{lock}");
-                    sim.invoke(p, move |proc_, ctx| {
-                        proc_.with_app(ctx, |app, up| {
-                            // Only meaningful releases; bogus ones are
-                            // dropped by the protocol anyway.
-                            if app.holds(&l) {
-                                app.release(&l, up);
-                            }
-                        });
-                    });
-                }
-                MxOp::Crash { who } => {
-                    if crashes < 2 {
-                        let alive: Vec<Pid> =
-                            pids.iter().copied().filter(|&p| sim.is_alive(p)).collect();
-                        if alive.len() > 3 {
-                            sim.crash(alive[who % alive.len()]);
-                            crashes += 1;
-                        }
-                    }
-                }
-                MxOp::Wait { ms } => sim.run_for(SimDuration::from_millis(*ms)),
-            }
-            // Safety after every step: never two holders of one lock.
-            for lock in ["L0", "L1"] {
-                let holders: Vec<Pid> = pids
-                    .iter()
-                    .copied()
-                    .filter(|&p| sim.is_alive(p) && sim.process(p).app().holds(lock))
-                    .collect();
-                prop_assert!(
-                    holders.len() <= 1,
-                    "two holders of {}: {:?}", lock, holders
-                );
-            }
-        }
-        // Liveness: after settling, any queued lock has a live holder.
-        sim.run_for(SimDuration::from_secs(30));
-        for lock in ["L0", "L1"] {
-            let survivors: Vec<Pid> =
-                pids.iter().copied().filter(|&p| sim.is_alive(p)).collect();
-            let queued = survivors
-                .iter()
-                .any(|&p| sim.process(p).app().queue_len(lock) > 0);
-            if queued {
-                let holder_alive = survivors.iter().any(|&p| {
-                    sim.process(p)
-                        .app()
-                        .holder_of(lock)
-                        .is_some_and(|h| sim.is_alive(h))
-                });
-                prop_assert!(holder_alive, "lock {} queued but held by a ghost", lock);
-            }
-        }
     }
 }
 

@@ -1,16 +1,21 @@
 //! End-to-end tests of the toolkit tools, flat and hierarchical.
 
+use std::collections::BTreeMap;
+
 use isis_core::testutil::generic_cluster;
-use isis_core::{GroupId, IsisConfig, IsisProcess};
-use isis_hier::{HierApp, LargeGroupConfig, LargeGroupId};
-use isis_toolkit::flat::{FlatMutex, FlatParallel, FlatService};
+use isis_core::{Application, GroupId, IsisConfig, IsisProcess, Uplink};
+use isis_hier::{HierApp, LargeApp, LargeGroupConfig, LargeGroupId, LargeUplink};
+use isis_toolkit::flat::FlatService;
 use isis_toolkit::hier::{home_leaf, Directory, LeafServiceApp, TreeParallel};
-use now_sim::{Partition, Pid, Sim, SimConfig, SimDuration, SimTime};
+use isis_toolkit::{KvState, ReqId};
+use now_sim::{Partition, Pid, Sim, SimConfig, SimDuration};
 
 const GID: GroupId = GroupId(7);
+const LGID: LargeGroupId = LargeGroupId(1);
+const RETRY: SimDuration = SimDuration::from_millis(1_500);
 
 // ---------------------------------------------------------------------
-// Flat coordinator-cohort
+// Coordinator-cohort, over a flat group and over a hier leaf
 // ---------------------------------------------------------------------
 
 fn flat_svc_cluster(
@@ -31,35 +36,122 @@ fn flat_svc_cluster(
     (sim, pids, client)
 }
 
-#[test]
-fn flat_service_round_trip_and_replication() {
-    let (mut sim, pids, client) = flat_svc_cluster(5, IsisConfig::default(), 1);
-    let members = pids.clone();
-    let req = sim
-        .invoke(client, move |p, ctx| {
-            p.with_app(ctx, |app, up| app.send_request(&members, "PUT x 42", up))
-        })
-        .unwrap();
-    sim.run_for(SimDuration::from_secs(5));
-    assert_eq!(
-        sim.process(client).app().replies.get(&req).map(String::as_str),
-        Some("OK")
-    );
-    // Every member replicated the write.
-    for &m in &pids {
-        assert_eq!(
-            sim.process(m).app().state.get("x").map(String::as_str),
-            Some("42"),
-            "replica {m} missing the write"
-        );
-        assert_eq!(sim.process(m).app().pending_len(), 0);
+/// What a test reads of one process's coordinator-cohort tool.
+struct Seen<'a> {
+    state: &'a KvState,
+    replies: &'a BTreeMap<ReqId, String>,
+    executed: usize,
+    logged: usize,
+}
+
+/// A process type that runs the coordinator-cohort tool.
+trait Svc: Application {
+    fn seen(&self) -> Seen<'_>;
+    fn send(&mut self, to: &[Pid], body: &str, retry: SimDuration, up: &mut Uplink<'_, '_, Self>)
+        -> ReqId;
+}
+
+impl Svc for FlatService {
+    fn seen(&self) -> Seen<'_> {
+        let (executed, logged) = (self.cohort.executed.len(), self.cohort.pending_len());
+        Seen { state: &self.state, replies: &self.replies, executed, logged }
+    }
+    fn send(&mut self, to: &[Pid], body: &str, retry: SimDuration, up: &mut Uplink<'_, '_, Self>)
+        -> ReqId {
+        self.retry = retry;
+        self.send_request(to, body, up)
+    }
+}
+
+impl Svc for HierApp<LeafServiceApp> {
+    fn seen(&self) -> Seen<'_> {
+        let b = self.biz();
+        let (executed, logged) = (b.cohort.executed.len(), b.cohort.pending_len());
+        Seen { state: &b.state, replies: &b.replies, executed, logged }
+    }
+    fn send(&mut self, to: &[Pid], body: &str, retry: SimDuration, up: &mut Uplink<'_, '_, Self>)
+        -> ReqId {
+        let mut req = None;
+        self.with_business(up, |biz, lup| {
+            biz.retry = retry;
+            req = Some(biz.send_request_to(to, body, lup));
+        });
+        req.expect("with_business runs its callback")
+    }
+}
+
+/// One service group, its coordinator first, and a client outside it.
+struct Rig<A: Svc> {
+    sim: Sim<IsisProcess<A>>,
+    members: Vec<Pid>,
+    client: Pid,
+}
+
+impl Rig<FlatService> {
+    fn flat(n: usize, seed: u64) -> Self {
+        let (sim, members, client) = flat_svc_cluster(n, IsisConfig::default(), seed);
+        Rig { sim, members, client }
+    }
+}
+
+impl Rig<HierApp<LeafServiceApp>> {
+    /// The first leaf of at least `n` members in a 12-member hierarchy.
+    fn hier(n: usize, seed: u64) -> Self {
+        let (mut sim, _, all) = hier_cluster(12, seed);
+        let mut by_leaf: BTreeMap<GroupId, Vec<Pid>> = BTreeMap::new();
+        for &m in &all {
+            let leaf = sim.process(m).app().leaf_of(LGID).expect("formed");
+            by_leaf.entry(leaf).or_default().push(m);
+        }
+        let mut members = by_leaf
+            .into_values()
+            .find(|leaf| leaf.len() >= n)
+            .expect("a large enough leaf");
+        members.sort_by_key(|&m| !sim.process(m).app().is_rep(LGID));
+        let client = hier_client(&mut sim);
+        Rig { sim, members, client }
+    }
+}
+
+impl<A: Svc> Rig<A> {
+    /// The client sends `body` to every member, resending every `retry`.
+    fn send(&mut self, body: &str, retry: SimDuration) -> ReqId {
+        let to = &self.members;
+        self.sim
+            .invoke(self.client, |p, ctx| p.with_app(ctx, |app, up| app.send(to, body, retry, up)))
+            .expect("the client is alive")
+    }
+
+    fn seen(&self, p: Pid) -> Seen<'_> {
+        self.sim.process(p).app().seen()
+    }
+
+    fn value(&self, p: Pid, key: &str) -> Option<&str> {
+        self.seen(p).state.get(key).map(String::as_str)
+    }
+
+    fn executions(&self, members: &[Pid]) -> usize {
+        members.iter().map(|&m| self.seen(m).executed).sum()
+    }
+}
+
+fn round_trip_and_replication<A: Svc>(mut rig: Rig<A>) {
+    let req = rig.send("PUT x 42", RETRY);
+    rig.sim.run_for(SimDuration::from_secs(5));
+    assert_eq!(rig.seen(rig.client).replies.get(&req).map(String::as_str), Some("OK"));
+    // Every member replicated the write and emptied its log.
+    for &m in &rig.members {
+        assert_eq!(rig.value(m, "x"), Some("42"), "replica {m} missing the write");
+        assert_eq!(rig.seen(m).logged, 0);
     }
     // Exactly one member executed it.
-    let execs: usize = pids
-        .iter()
-        .map(|&m| sim.process(m).app().executed.len())
-        .sum();
-    assert_eq!(execs, 1);
+    assert_eq!(rig.executions(&rig.members), 1);
+}
+
+#[test]
+fn flat_service_round_trip_and_replication() {
+    round_trip_and_replication(Rig::flat(5, 1));
+    round_trip_and_replication(Rig::hier(2, 1));
 }
 
 #[test]
@@ -89,153 +181,47 @@ fn flat_service_costs_exactly_2n_messages() {
     }
 }
 
+fn survives_coordinator_crash<A: Svc>(mut rig: Rig<A>) {
+    // Killing the coordinator while the request is in flight is racy, so
+    // kill it and then send: the cohorts log the request, and the takeover
+    // runs when the view changes.
+    rig.sim.crash(rig.members[0]);
+    let req = rig.send("PUT y 7", RETRY);
+    rig.sim.run_for(SimDuration::from_secs(20));
+    let reply = rig.seen(rig.client).replies.get(&req).map(String::as_str);
+    assert_eq!(reply, Some("OK"), "client reply after coordinator failover");
+    let survivors = &rig.members[1..];
+    for &m in survivors {
+        assert_eq!(rig.value(m, "y"), Some("7"));
+    }
+    assert_eq!(rig.executions(survivors), 1);
+    assert_eq!(rig.sim.stats().counter("tool.svc.takeover_exec"), 1);
+}
+
 #[test]
 fn flat_service_survives_coordinator_crash() {
-    let (mut sim, pids, client) = flat_svc_cluster(5, IsisConfig::default(), 9);
-    let coordinator = pids[0];
-    // Request arrives everywhere; kill the coordinator before it can act
-    // is racy, so kill it and then send — the cohort takeover path runs
-    // when the view changes.
-    sim.crash(coordinator);
-    let members = pids.clone();
-    let req = sim
-        .invoke(client, move |p, ctx| {
-            p.with_app(ctx, |app, up| app.send_request(&members, "PUT y 7", up))
-        })
-        .unwrap();
-    sim.run_for(SimDuration::from_secs(20));
-    assert_eq!(
-        sim.process(client).app().replies.get(&req).map(String::as_str),
-        Some("OK"),
-        "client reply after coordinator failover"
-    );
-    for &m in &pids[1..] {
-        assert_eq!(
-            sim.process(m).app().state.get("y").map(String::as_str),
-            Some("7")
-        );
+    survives_coordinator_crash(Rig::flat(5, 9));
+    // Three members, so the leaf keeps two and does not dissolve.
+    survives_coordinator_crash(Rig::hier(3, 9));
+}
+
+fn no_duplicate_execution_under_retry<A: Svc>(mut rig: Rig<A>) {
+    // A retry interval shorter than one round trip: the client resends
+    // before the reply can arrive, so members see the request again after
+    // it was executed.
+    rig.send("ADD counter 1", SimDuration::from_micros(1));
+    rig.sim.run_for(SimDuration::from_secs(5));
+    assert!(rig.sim.stats().counter("tool.svc.client_retry") > 0, "no retry fired");
+    for &m in &rig.members {
+        assert_eq!(rig.value(m, "counter"), Some("1"), "retries must not re-execute at {m}");
     }
+    assert_eq!(rig.executions(&rig.members), 1);
 }
 
 #[test]
 fn flat_service_no_duplicate_execution_under_retry() {
-    let (mut sim, pids, client) = flat_svc_cluster(4, IsisConfig::default(), 13);
-    let members = pids.clone();
-    sim.invoke(client, move |p, ctx| {
-        p.with_app(ctx, |app, up| {
-            app.retry = SimDuration::from_millis(200);
-            app.send_request(&members, "ADD counter 1", up)
-        })
-    });
-    // Let several client retries fire even though the service answered.
-    sim.run_for(SimDuration::from_secs(5));
-    for &m in &pids {
-        assert_eq!(
-            sim.process(m).app().state.get("counter").map(String::as_str),
-            Some("1"),
-            "retries must not re-execute at {m}"
-        );
-    }
-}
-
-// ---------------------------------------------------------------------
-// Flat mutual exclusion
-// ---------------------------------------------------------------------
-
-#[test]
-fn mutex_grants_are_exclusive_and_fifo() {
-    let (mut sim, pids) = generic_cluster(
-        4,
-        GID,
-        IsisConfig::quiet(),
-        SimConfig::ideal(21),
-        |_| FlatMutex::new(),
-    );
-    for &p in &pids {
-        sim.invoke(p, |proc_, ctx| {
-            proc_.with_app(ctx, |app, up| app.acquire("L", up));
-        });
-    }
-    sim.run_for(SimDuration::from_secs(2));
-    // Exactly one holder, and everyone agrees who it is.
-    let holders: Vec<Pid> = pids
-        .iter()
-        .copied()
-        .filter(|&p| sim.process(p).app().holds("L"))
-        .collect();
-    assert_eq!(holders.len(), 1);
-    let agreed: Vec<Option<Pid>> = pids
-        .iter()
-        .map(|&p| sim.process(p).app().holder_of("L"))
-        .collect();
-    assert!(agreed.iter().all(|h| *h == Some(holders[0])));
-
-    // Release cascades through the whole queue in FIFO order.
-    let mut order = vec![holders[0]];
-    for _ in 0..3 {
-        let h = order.last().copied().unwrap();
-        sim.invoke(h, |proc_, ctx| {
-            proc_.with_app(ctx, |app, up| app.release("L", up));
-        });
-        sim.run_for(SimDuration::from_secs(1));
-        let now: Vec<Pid> = pids
-            .iter()
-            .copied()
-            .filter(|&p| sim.process(p).app().holds("L"))
-            .collect();
-        assert_eq!(now.len(), 1);
-        assert!(!order.contains(&now[0]), "a pid was granted twice");
-        order.push(now[0]);
-    }
-}
-
-#[test]
-fn mutex_holder_crash_frees_the_lock() {
-    let (mut sim, pids) = generic_cluster(
-        4,
-        GID,
-        IsisConfig::default(),
-        SimConfig::ideal(23),
-        |_| FlatMutex::new(),
-    );
-    let (a, b) = (pids[1], pids[2]);
-    sim.invoke(a, |p, ctx| p.with_app(ctx, |app, up| app.acquire("L", up)));
-    sim.run_for(SimDuration::from_secs(1));
-    sim.invoke(b, |p, ctx| p.with_app(ctx, |app, up| app.acquire("L", up)));
-    sim.run_for(SimDuration::from_secs(1));
-    assert!(sim.process(a).app().holds("L"));
-    sim.crash(a);
-    sim.run_for(SimDuration::from_secs(20));
-    assert!(
-        sim.process(b).app().holds("L"),
-        "lock must pass to the next waiter after the holder crashes"
-    );
-}
-
-// ---------------------------------------------------------------------
-// Flat parallel computation
-// ---------------------------------------------------------------------
-
-#[test]
-fn flat_parallel_computes_the_right_sum() {
-    let (mut sim, pids) = generic_cluster(
-        6,
-        GID,
-        IsisConfig::quiet(),
-        SimConfig::ideal(31),
-        |_| FlatParallel::new(),
-    );
-    let task = sim
-        .invoke(pids[2], |p, ctx| {
-            p.with_app(ctx, |app, up| app.run(0, 10_000, up))
-        })
-        .unwrap()
-        .unwrap();
-    sim.run_for(SimDuration::from_secs(5));
-    assert_eq!(
-        sim.process(pids[2]).app().result(task),
-        Some(isis_toolkit::flat::parallel::expected_sum(0, 10_000))
-    );
+    no_duplicate_execution_under_retry(Rig::flat(4, 13));
+    no_duplicate_execution_under_retry(Rig::hier(2, 13));
 }
 
 // ---------------------------------------------------------------------
@@ -244,54 +230,36 @@ fn flat_parallel_computes_the_right_sum() {
 
 type HierSim = Sim<IsisProcess<HierApp<LeafServiceApp>>>;
 
-type HierCluster = (
-    HierSim,
-    LargeGroupId,
-    Vec<Pid>,
-    Vec<Pid>,
-);
-
-fn hier_cluster(n: usize, seed: u64) -> HierCluster {
-    let lgid = LargeGroupId(1);
+/// A formed hierarchy of `n` members running `mk()`'s business app under
+/// two leaders: the sim, the leaders and the members.
+fn hier_cluster_of<B: LargeApp>(
+    n: usize,
+    seed: u64,
+    mk: impl Fn() -> B,
+) -> (Sim<IsisProcess<HierApp<B>>>, Vec<Pid>, Vec<Pid>) {
     let cfg = LargeGroupConfig::new(2, 3);
-    let mut sim: HierSim = Sim::new(SimConfig::ideal(seed));
-    let nleaders = cfg.resiliency;
-    let leaders: Vec<Pid> = (0..nleaders)
-        .map(|_| {
-            let nd = sim.add_nodes(1)[0];
-            sim.spawn(
-                nd,
-                IsisProcess::new(
-                    HierApp::with_timers(LeafServiceApp::new(lgid), cfg.clone()),
-                    IsisConfig::default(),
-                ),
-            )
-        })
-        .collect();
-    let cfg2 = cfg.clone();
-    sim.invoke(leaders[0], move |p, ctx| {
-        p.with_app(ctx, move |app, up| app.create_large(lgid, cfg2, up));
+    let mut sim = Sim::new(SimConfig::ideal(seed));
+    let spawn = |sim: &mut Sim<IsisProcess<HierApp<B>>>| {
+        let nd = sim.add_nodes(1)[0];
+        let app = HierApp::with_timers(mk(), cfg.clone());
+        sim.spawn(nd, IsisProcess::new(app, IsisConfig::default()))
+    };
+    let leaders: Vec<Pid> = (0..cfg.resiliency).map(|_| spawn(&mut sim)).collect();
+    let (contact, cfg2) = (leaders[0], cfg.clone());
+    sim.invoke(contact, move |p, ctx| {
+        p.with_app(ctx, move |app, up| app.create_large(LGID, cfg2, up));
     });
     for &l in &leaders[1..] {
-        let contact = leaders[0];
         sim.invoke(l, move |p, ctx| {
-            p.with_app(ctx, move |app, up| app.join_leader_group(lgid, contact, up));
+            p.with_app(ctx, move |app, up| app.join_leader_group(LGID, contact, up));
         });
     }
     sim.run_for(SimDuration::from_secs(5));
     let members: Vec<Pid> = (0..n)
         .map(|_| {
-            let nd = sim.add_nodes(1)[0];
-            let p = sim.spawn(
-                nd,
-                IsisProcess::new(
-                    HierApp::with_timers(LeafServiceApp::new(lgid), cfg.clone()),
-                    IsisConfig::default(),
-                ),
-            );
-            let contact = leaders[0];
+            let p = spawn(&mut sim);
             sim.invoke(p, move |proc_, ctx| {
-                proc_.with_app(ctx, move |app, up| app.join_large(lgid, contact, up));
+                proc_.with_app(ctx, move |app, up| app.join_large(LGID, contact, up));
             });
             p
         })
@@ -301,11 +269,11 @@ fn hier_cluster(n: usize, seed: u64) -> HierCluster {
     loop {
         let ok = members
             .iter()
-            .all(|&m| sim.process(m).app().is_large_member(lgid))
+            .all(|&m| sim.process(m).app().is_large_member(LGID))
             && sim
-                .process(leaders[0])
+                .process(contact)
                 .app()
-                .leader_view(lgid)
+                .leader_view(LGID)
                 .is_some_and(|v| v.total_members() == n);
         if ok {
             break;
@@ -315,17 +283,17 @@ fn hier_cluster(n: usize, seed: u64) -> HierCluster {
             sim.run_for(SimDuration::from_millis(100));
         }
     }
-    (sim, lgid, leaders, members)
+    (sim, leaders, members)
 }
 
-fn directory(
-    sim: &HierSim,
-    leader: Pid,
-    lgid: LargeGroupId,
-) -> Directory {
+fn hier_cluster(n: usize, seed: u64) -> (HierSim, Vec<Pid>, Vec<Pid>) {
+    hier_cluster_of(n, seed, || LeafServiceApp::new(LGID))
+}
+
+fn directory(sim: &HierSim, leader: Pid) -> Directory {
     sim.process(leader)
         .app()
-        .leader_view(lgid)
+        .leader_view(LGID)
         .expect("leader view")
         .leaves
         .iter()
@@ -333,39 +301,38 @@ fn directory(
         .collect()
 }
 
+/// Runs `f` on `p`'s business application, as an external prod.
+fn biz<B: LargeApp, R>(
+    sim: &mut Sim<IsisProcess<HierApp<B>>>,
+    p: Pid,
+    f: impl FnOnce(&mut B, &mut LargeUplink<'_, '_, '_, B>) -> R,
+) -> R {
+    sim.invoke(p, |proc_, ctx| {
+        proc_.with_app(ctx, |app, up| {
+            let mut out = None;
+            app.with_business(up, |b, lup| out = Some(f(b, lup)));
+            out.expect("with_business runs its callback")
+        })
+    })
+    .expect("the process is alive")
+}
+
+/// A client of the hierarchical service that joins nothing; it just
+/// talks to leaf contacts.
+fn hier_client(sim: &mut HierSim) -> Pid {
+    let nd = sim.add_nodes(1)[0];
+    let app = HierApp::new(LeafServiceApp::new(LGID));
+    sim.spawn(nd, IsisProcess::new(app, IsisConfig::default()))
+}
+
 #[test]
 fn hier_service_routes_by_key_and_replies() {
-    let (mut sim, lgid, leaders, members) = hier_cluster(12, 41);
-    let dir = directory(&sim, leaders[0], lgid);
-    // A client joins nothing; it just talks to leaf contacts.
-    let nd = sim.add_nodes(1)[0];
-    let client = sim.spawn(
-        nd,
-        IsisProcess::new(
-            HierApp::new(LeafServiceApp::new(lgid)),
-            IsisConfig::default(),
-        ),
-    );
-    let d2 = dir.clone();
-    let req = sim
-        .invoke(client, move |p, ctx| {
-            p.with_app(ctx, |app, up| {
-                let mut out = None;
-                app.with_business(up, |biz, lup| {
-                    out = Some(biz.send_request(&d2, "PUT alpha 9", lup));
-                });
-                out.unwrap()
-            })
-        })
-        .unwrap();
+    let (mut sim, leaders, members) = hier_cluster(12, 41);
+    let dir = directory(&sim, leaders[0]);
+    let client = hier_client(&mut sim);
+    let req = biz(&mut sim, client, |b, up| b.send_request(&dir, "PUT alpha 9", up));
     sim.run_for(SimDuration::from_secs(5));
-    let reply = sim
-        .process(client)
-        .app()
-        .biz()
-        .replies
-        .get(&req)
-        .cloned();
+    let reply = sim.process(client).app().biz().replies.get(&req).cloned();
     assert_eq!(reply.as_deref(), Some("OK"));
     // The owning leaf replicated the key; other leaves did not see it.
     let holders = members
@@ -377,13 +344,43 @@ fn hier_service_routes_by_key_and_replies() {
         holders <= 7,
         "write must not spread beyond one leaf (+joins)"
     );
-    let _ = members;
+}
+
+/// A write acknowledged by a two-member leaf survives when the leaf loses
+/// its rep and dissolves: the survivor executes the write, then carries
+/// its shard through every migration into a leaf that stays.
+#[test]
+fn acknowledged_write_survives_its_home_leaf_dissolving() {
+    let (mut sim, leaders, members) = hier_cluster(12, 41);
+    let dir = directory(&sim, leaders[0]);
+    let home = home_leaf(&dir, "y").0;
+    let leaf: Vec<Pid> = members
+        .iter()
+        .copied()
+        .filter(|&m| sim.process(m).app().leaf_of(LGID) == Some(home))
+        .collect();
+    assert_eq!(leaf.len(), 2, "precondition: y's home leaf has two members");
+    let rep = *leaf
+        .iter()
+        .find(|&&m| sim.process(m).app().is_rep(LGID))
+        .expect("the leaf has a rep");
+    sim.crash(rep);
+    let client = hier_client(&mut sim);
+    let req = biz(&mut sim, client, |b, up| b.send_request(&dir, "ADD y 7", up));
+    sim.run_for(SimDuration::from_secs(20));
+    let reply = sim.process(client).app().biz().replies.get(&req).cloned();
+    assert_eq!(reply.as_deref(), Some("7"), "the write was acknowledged");
+    assert_eq!(
+        read_key(&sim, &members, "y").as_deref(),
+        Some("7"),
+        "no live member holds the acknowledged write to y"
+    );
 }
 
 #[test]
 fn hier_txn_commits_across_leaves() {
-    let (mut sim, lgid, leaders, members) = hier_cluster(12, 43);
-    let dir = directory(&sim, leaders[0], lgid);
+    let (mut sim, leaders, members) = hier_cluster(12, 43);
+    let dir = directory(&sim, leaders[0]);
     assert!(dir.len() >= 2, "need multiple leaves for a distributed txn");
     let initiator = members[0];
     // Find two keys living in different leaves.
@@ -392,18 +389,7 @@ fn hier_txn_commits_across_leaves() {
         (k1.clone(), "100".to_string()),
         (k2.clone(), "200".to_string()),
     ];
-    let d2 = dir.clone();
-    let txn = sim
-        .invoke(initiator, move |p, ctx| {
-            p.with_app(ctx, |app, up| {
-                let mut out = None;
-                app.with_business(up, |biz, lup| {
-                    out = Some(biz.begin_txn(&d2, &writes, lup));
-                });
-                out.unwrap()
-            })
-        })
-        .unwrap();
+    let txn = biz(&mut sim, initiator, |b, up| b.begin_txn(&dir, &writes, up));
     sim.run_for(SimDuration::from_secs(10));
     assert_eq!(
         sim.process(initiator).app().biz().txn_results.get(&txn),
@@ -433,11 +419,8 @@ fn two_keys_in_different_leaves(dir: &Directory) -> (String, String) {
     panic!("could not find keys in two leaves");
 }
 
-fn read_key(
-    sim: &Sim<IsisProcess<HierApp<LeafServiceApp>>>,
-    members: &[Pid],
-    key: &str,
-) -> Option<String> {
+/// `key` as the first live member holding it has it.
+fn read_key(sim: &HierSim, members: &[Pid], key: &str) -> Option<String> {
     members
         .iter()
         .filter(|&&m| sim.is_alive(m))
@@ -446,31 +429,14 @@ fn read_key(
 
 #[test]
 fn hier_txn_conflict_aborts_one() {
-    let (mut sim, lgid, leaders, members) = hier_cluster(12, 47);
-    let dir = directory(&sim, leaders[0], lgid);
+    let (mut sim, leaders, members) = hier_cluster(12, 47);
+    let dir = directory(&sim, leaders[0]);
     let (k1, k2) = two_keys_in_different_leaves(&dir);
     let (a, b) = (members[0], members[1]);
     let writes_a = vec![(k1.clone(), "A".into()), (k2.clone(), "A".into())];
     let writes_b = vec![(k2.clone(), "B".into()), (k1.clone(), "B".into())];
-    let (da, db) = (dir.clone(), dir.clone());
-    let ta = sim
-        .invoke(a, move |p, ctx| {
-            p.with_app(ctx, |app, up| {
-                let mut out = None;
-                app.with_business(up, |biz, lup| out = Some(biz.begin_txn(&da, &writes_a, lup)));
-                out.unwrap()
-            })
-        })
-        .unwrap();
-    let tb = sim
-        .invoke(b, move |p, ctx| {
-            p.with_app(ctx, |app, up| {
-                let mut out = None;
-                app.with_business(up, |biz, lup| out = Some(biz.begin_txn(&db, &writes_b, lup)));
-                out.unwrap()
-            })
-        })
-        .unwrap();
+    let ta = biz(&mut sim, a, |b, up| b.begin_txn(&dir, &writes_a, up));
+    let tb = biz(&mut sim, b, |b, up| b.begin_txn(&dir, &writes_b, up));
     sim.run_for(SimDuration::from_secs(30));
     let ra = sim.process(a).app().biz().txn_results.get(&ta).copied();
     let rb = sim.process(b).app().biz().txn_results.get(&tb).copied();
@@ -494,46 +460,24 @@ fn hier_txn_conflict_aborts_one() {
 
 #[test]
 fn hier_lock_is_exclusive_across_leaves() {
-    let (mut sim, lgid, leaders, members) = hier_cluster(9, 53);
-    let dir = directory(&sim, leaders[0], lgid);
+    let (mut sim, leaders, members) = hier_cluster(9, 53);
+    let dir = directory(&sim, leaders[0]);
     let (a, b) = (members[2], members[7]);
-    for &p in &[a, b] {
-        let d = dir.clone();
-        sim.invoke(p, move |proc_, ctx| {
-            proc_.with_app(ctx, |app, up| {
-                app.with_business(up, |biz, lup| biz.acquire_lock(&d, "global-lock", lup));
-            });
-        });
+    for p in [a, b] {
+        biz(&mut sim, p, |b, up| b.acquire_lock(&dir, "global-lock", up));
     }
     sim.run_for(SimDuration::from_secs(5));
-    let ha = sim.process(a).app().biz().held_locks.contains(&"global-lock".to_string());
-    let hb = sim.process(b).app().biz().held_locks.contains(&"global-lock".to_string());
+    let (ha, hb) = (holds(&sim, a, "global-lock"), holds(&sim, b, "global-lock"));
     assert!(ha ^ hb, "exactly one process may hold the lock: a={ha} b={hb}");
     // Release passes it over.
-    let holder = if ha { a } else { b };
-    let waiter = if ha { b } else { a };
-    let d = dir.clone();
-    sim.invoke(holder, move |proc_, ctx| {
-        proc_.with_app(ctx, |app, up| {
-            app.with_business(up, |biz, lup| biz.release_lock(&d, "global-lock", lup));
-        });
-    });
+    let (holder, waiter) = if ha { (a, b) } else { (b, a) };
+    biz(&mut sim, holder, |b, up| b.release_lock(&dir, "global-lock", up));
     sim.run_for(SimDuration::from_secs(5));
-    assert!(sim
-        .process(waiter)
-        .app()
-        .biz()
-        .held_locks
-        .contains(&"global-lock".to_string()));
+    assert!(holds(&sim, waiter, "global-lock"));
 }
 
 /// A lock whose home leaf has at least three members, and those members.
-fn lock_with_home_of_three(
-    sim: &HierSim,
-    dir: &Directory,
-    lgid: LargeGroupId,
-    members: &[Pid],
-) -> (String, Vec<Pid>) {
+fn lock_with_home_of_three(sim: &HierSim, dir: &Directory, members: &[Pid]) -> (String, Vec<Pid>) {
     (0..100)
         .map(|i| format!("lock{i}"))
         .find_map(|lock| {
@@ -541,7 +485,7 @@ fn lock_with_home_of_three(
             let home: Vec<Pid> = members
                 .iter()
                 .copied()
-                .filter(|&m| sim.process(m).app().leaf_of(lgid) == Some(gid))
+                .filter(|&m| sim.process(m).app().leaf_of(LGID) == Some(gid))
                 .collect();
             (home.len() >= 3).then_some((lock, home))
         })
@@ -554,12 +498,7 @@ fn holds(sim: &HierSim, p: Pid, lock: &str) -> bool {
 
 /// `p` asks for `lock`, then the sim runs for two seconds.
 fn acquire(sim: &mut HierSim, dir: &Directory, p: Pid, lock: &str) {
-    let (d, l) = (dir.clone(), lock.to_string());
-    sim.invoke(p, move |proc_, ctx| {
-        proc_.with_app(ctx, |app, up| {
-            app.with_business(up, |biz, lup| biz.acquire_lock(&d, &l, lup));
-        });
-    });
+    biz(sim, p, |b, up| b.acquire_lock(dir, lock, up));
     sim.run_for(SimDuration::from_secs(2));
 }
 
@@ -567,12 +506,12 @@ fn acquire(sim: &mut HierSim, dir: &Directory, p: Pid, lock: &str) {
 /// leaves queued at every replica, so a release still passes the lock on.
 #[test]
 fn remote_lock_waiter_survives_a_view_change_at_the_lock_home() {
-    let (mut sim, lgid, leaders, members) = hier_cluster(12, 59);
-    let dir = directory(&sim, leaders[0], lgid);
-    let (lock, home) = lock_with_home_of_three(&sim, &dir, lgid, &members);
+    let (mut sim, leaders, members) = hier_cluster(12, 59);
+    let dir = directory(&sim, leaders[0]);
+    let (lock, home) = lock_with_home_of_three(&sim, &dir, &members);
     let victim = *home
         .iter()
-        .find(|&&m| !sim.process(m).app().is_rep(lgid))
+        .find(|&&m| !sim.process(m).app().is_rep(LGID))
         .expect("a non-rep member");
     let remote: Vec<Pid> = members.iter().copied().filter(|m| !home.contains(m)).collect();
     let (holder, waiter) = (remote[0], remote[1]);
@@ -585,12 +524,7 @@ fn remote_lock_waiter_survives_a_view_change_at_the_lock_home() {
     );
     sim.crash(victim);
     sim.run_for(SimDuration::from_secs(10));
-    let (d, l) = (dir.clone(), lock.clone());
-    sim.invoke(holder, move |proc_, ctx| {
-        proc_.with_app(ctx, |app, up| {
-            app.with_business(up, |biz, lup| biz.release_lock(&d, &l, lup));
-        });
-    });
+    biz(&mut sim, holder, |b, up| b.release_lock(&dir, &lock, up));
     sim.run_for(SimDuration::from_secs(5));
     assert!(holds(&sim, waiter, &lock), "{waiter} never granted {lock}");
 }
@@ -600,12 +534,12 @@ fn remote_lock_waiter_survives_a_view_change_at_the_lock_home() {
 /// grant its lock to a waiter as well.
 #[test]
 fn excluded_lock_holder_is_not_granted_over() {
-    let (mut sim, lgid, leaders, members) = hier_cluster(12, 59);
-    let dir = directory(&sim, leaders[0], lgid);
-    let (lock, home) = lock_with_home_of_three(&sim, &dir, lgid, &members);
+    let (mut sim, leaders, members) = hier_cluster(12, 59);
+    let dir = directory(&sim, leaders[0]);
+    let (lock, home) = lock_with_home_of_three(&sim, &dir, &members);
     let holder = *home
         .iter()
-        .find(|&&m| !sim.process(m).app().is_rep(lgid))
+        .find(|&&m| !sim.process(m).app().is_rep(LGID))
         .expect("a non-rep member");
     let waiter = *members.iter().find(|m| !home.contains(m)).expect("a remote member");
     for p in [holder, waiter] {
@@ -634,75 +568,18 @@ fn excluded_lock_holder_is_not_granted_over() {
 
 #[test]
 fn tree_parallel_computes_the_right_sum() {
-    let lgid = LargeGroupId(1);
-    let cfg = LargeGroupConfig::new(2, 3);
-    let mut sim: Sim<IsisProcess<HierApp<TreeParallel>>> = Sim::new(SimConfig::ideal(61));
-    let nd = sim.add_nodes(1)[0];
-    let leader = sim.spawn(
-        nd,
-        IsisProcess::new(
-            HierApp::with_timers(TreeParallel::new(lgid), cfg.clone()),
-            IsisConfig::default(),
-        ),
-    );
-    let cfg2 = cfg.clone();
-    sim.invoke(leader, move |p, ctx| {
-        p.with_app(ctx, move |app, up| app.create_large(lgid, cfg2, up));
-    });
-    sim.run_for(SimDuration::from_secs(2));
-    let members: Vec<Pid> = (0..18)
-        .map(|_| {
-            let nd = sim.add_nodes(1)[0];
-            let p = sim.spawn(
-                nd,
-                IsisProcess::new(
-                    HierApp::with_timers(TreeParallel::new(lgid), cfg.clone()),
-                    IsisConfig::default(),
-                ),
-            );
-            sim.invoke(p, move |proc_, ctx| {
-                proc_.with_app(ctx, move |app, up| app.join_large(lgid, leader, up));
-            });
-            p
-        })
-        .collect();
-    let deadline = SimTime(0) + SimDuration::from_secs(300);
-    loop {
-        let formed = members
-            .iter()
-            .all(|&m| sim.process(m).app().is_large_member(lgid))
-            && sim
-                .process(leader)
-                .app()
-                .leader_view(lgid)
-                .is_some_and(|v| v.total_members() == 18);
-        if formed {
-            break;
-        }
-        assert!(sim.now() < deadline);
-        if !sim.step() {
-            sim.run_for(SimDuration::from_millis(100));
-        }
-    }
+    let (mut sim, leaders, members) = hier_cluster_of(18, 61, || TreeParallel::new(LGID));
     let root = sim
-        .process(leader)
+        .process(leaders[0])
         .app()
-        .leader_view(lgid)
+        .leader_view(LGID)
         .unwrap()
         .root()
         .unwrap()
         .rep()
         .unwrap();
     let origin = members[11];
-    let task = sim
-        .invoke(origin, move |p, ctx| {
-            p.with_app(ctx, |app, up| {
-                let mut out = None;
-                app.with_business(up, |biz, lup| out = Some(biz.run(root, 0, 50_000, lup)));
-                out.unwrap()
-            })
-        })
-        .unwrap();
+    let task = biz(&mut sim, origin, |b, up| b.run(root, 0, 50_000, up));
     sim.run_for(SimDuration::from_secs(20));
     assert_eq!(
         sim.process(origin).app().biz().result(task),

@@ -10,9 +10,10 @@
 //! - [`core`] (`isis-core`): process groups, FBCAST/CBCAST/ABCAST, views.
 //! - [`hier`] (`isis-hier`): large groups — leaf subgroups, leader group,
 //!   bounded-fanout tree broadcast. *The paper's contribution.*
-//! - [`toolkit`] (`isis-toolkit`): coordinator-cohort, replicated data,
-//!   mutual exclusion, parallel computation, transactions — flat and
-//!   hierarchical.
+//! - [`toolkit`] (`isis-toolkit`): the coordinator-cohort tool, one
+//!   implementation over a flat group or a hierarchical leaf; over the
+//!   hierarchy also a partitioned store, mutual exclusion, parallel
+//!   computation and transactions.
 //! - [`apps`] (`isis-apps`): the trading-room and factory workloads.
 //!
 //! See `examples/` for runnable entry points and DESIGN.md for the
