@@ -10,22 +10,24 @@
 #      carve-outs under crates/{bench,apps,net}) and, through
 #      [workspace.lints], R3's unwrap ban, `unsafe_code` and reasoned
 #      `#[expect]`s only,
-#   4. monitor-armed quick experiment sweep: every experiment runs with the
+#   4. rustdoc over the workspace with warnings denied, so a deleted or
+#      private item cannot leave a dangling intra-doc link,
+#   5. monitor-armed quick experiment sweep: every experiment runs with the
 #      online virtual-synchrony invariant monitors in panic mode, so any
 #      violation anywhere in the stack fails the gate; its tables (everything
 #      above the `sweep wall-clock` line) must match
 #      tests/golden/experiments_quick.txt byte for byte,
-#   5. monitor-armed full experiment sweep: the same, at full size, its
+#   6. monitor-armed full experiment sweep: the same, at full size, its
 #      tables checked against experiments_full.txt,
-#   6. the benchmark crate (`perf/`, a workspace of its own that path-depends
+#   7. the benchmark crate (`perf/`, a workspace of its own that path-depends
 #      on these crates): its tests, then every workload in smoke mode —
 #      gated on the output oracles only, never on its times,
-#   7. trace demo + Chrome export artifacts (tracectl smoke test),
-#   8. now-cluster loopback smoke: the real-socket backend boots an 8-process
+#   8. trace demo + Chrome export artifacts (tracectl smoke test),
+#   9. now-cluster loopback smoke: the real-socket backend boots an 8-process
 #      hierarchy over unix sockets, then again over loopback TCP (`--tcp`),
 #      replays short E1/E9 runs, and the merged trace must show zero
 #      virtual-synchrony violations (non-zero exit otherwise),
-#   9. chaos sweep: replay the shrunk-counterexample regression corpus, then
+#  10. chaos sweep: replay the shrunk-counterexample regression corpus, then
 #      1000 generated adversarial scenarios (correlated crashes, partition
 #      flaps, storms, rep-chain kills, crash-recover churn) with the
 #      monitors — including VS-REJOIN — armed as oracles — any violation
@@ -34,7 +36,7 @@
 #      tests/golden/chaos_sweep_1000_seed1.txt byte for byte, and the
 #      coverage census it writes to artifacts must be byte-identical
 #      (`cmp`) to tests/golden/chaos_census_1000_seed1.json,
-#  10. the whole-workspace linter (detlint rules R3, R4, R6, R7).
+#  11. the whole-workspace linter (detlint rules R3, R4, R6, R7).
 # Fails on the first broken step or on any lint finding.
 # Artifacts land in BENCH_artifacts/.
 set -euo pipefail
@@ -50,6 +52,9 @@ cargo test -q
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> QUICK=1 NOW_MONITORS=1 all_experiments (invariant monitors armed)"
 QUICK=1 NOW_MONITORS=1 cargo run --quiet --release -p isis-bench --bin all_experiments \

@@ -12,8 +12,6 @@
 //! `initial_parts - remaining_parts == products × parts_per_product`
 //! must hold exactly, whatever crashes occur.
 
-use isis_toolkit::hier::Directory;
-
 /// Inventory schema of the synthetic factory.
 #[derive(Clone, Debug)]
 pub struct Recipe {
@@ -99,16 +97,6 @@ pub fn audit_keys(recipe: &Recipe, lines: usize) -> (Vec<String>, Vec<String>) {
         (0..recipe.part_types).map(|i| recipe.part_key(i)).collect(),
         (0..lines).map(Recipe::product_key).collect(),
     )
-}
-
-/// Routes every part key in a directory (sanity helper for tests).
-pub fn parts_span_leaves(recipe: &Recipe, dir: &Directory) -> usize {
-    let mut leaves: Vec<usize> = (0..recipe.part_types)
-        .map(|i| isis_toolkit::shard_of(&recipe.part_key(i), dir.len()))
-        .collect();
-    leaves.sort_unstable();
-    leaves.dedup();
-    leaves.len()
 }
 
 #[cfg(test)]

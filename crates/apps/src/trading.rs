@@ -171,11 +171,6 @@ impl QuoteStream {
             price: 10_000 + (self.seq % 997) as u32,
         }
     }
-
-    /// Quotes issued so far.
-    pub fn issued(&self) -> u64 {
-        self.seq
-    }
 }
 
 /// Per-run results of a trading-room experiment.

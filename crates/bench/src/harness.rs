@@ -149,7 +149,7 @@ impl HierSvc {
 }
 
 /// Runs one closure per sweep point on the parallel sweep runner
-/// ([`crate::par_sweep`]) and appends the returned rows to `t` in input
+/// ([`crate::par_sweep()`]) and appends the returned rows to `t` in input
 /// order, so the emitted table is byte-identical whatever `NOW_JOBS` says.
 /// Each closure builds, runs, and measures its own simulations — nothing
 /// simulation-shaped ever crosses a thread.

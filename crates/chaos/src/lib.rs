@@ -7,7 +7,7 @@
 //! schedules ([`gen`]), expressed as composable DAGs of timed fault tasks
 //! ([`scenario`]), runs each against a real `isis-hier` cluster with the
 //! `now-trace` monitors armed ([`run`]), delta-debugs any violating
-//! schedule down to a minimal counterexample ([`shrink`]), and keeps the
+//! schedule down to a minimal counterexample ([`mod@shrink`]), and keeps the
 //! survivors as a replayable regression corpus ([`corpus`]). A coverage
 //! census ([`census`]) reports which trace event kinds each scenario
 //! family actually exercises, so blind spots are visible rather than

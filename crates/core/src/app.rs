@@ -198,45 +198,14 @@ impl<'a, 'b, A: Application> Uplink<'a, 'b, A> {
         self.ops.push(UpOp::AppTimer { delay, kind });
     }
 
-    /// Emits a labelled observation into the simulation log.
-    pub fn observe(&mut self, label: &'static str, value: f64) {
-        self.ctx.observe(label, value);
-    }
-
     /// Adds one to a named global counter (interned on first use).
     pub fn bump(&mut self, name: &'static str) {
         self.ctx.bump(name);
     }
 
-    /// Records a sample in a named global series (interned on first use).
-    pub fn sample(&mut self, name: &'static str, v: f64) {
-        self.ctx.sample(name, v);
-    }
-
     /// Records a duration sample (milliseconds) in a named series.
     pub fn sample_duration(&mut self, name: &'static str, d: SimDuration) {
         self.ctx.sample_duration(name, d);
-    }
-
-    /// Registers (or looks up) a named counter, returning a dense handle
-    /// for allocation-free bumping via [`Uplink::bump_id`].
-    pub fn counter_id(&mut self, name: &'static str) -> now_sim::CounterId {
-        self.ctx.counter_id(name)
-    }
-
-    /// Registers (or looks up) a named series, returning a dense handle.
-    pub fn series_id(&mut self, name: &'static str) -> now_sim::SeriesId {
-        self.ctx.series_id(name)
-    }
-
-    /// Adds one to an interned counter — a single array index.
-    pub fn bump_id(&mut self, id: now_sim::CounterId) {
-        self.ctx.bump_id(id);
-    }
-
-    /// Records a sample in an interned series — a single array index.
-    pub fn sample_id(&mut self, id: now_sim::SeriesId, v: f64) {
-        self.ctx.sample_id(id, v);
     }
 
     /// Deterministic randomness.

@@ -1,26 +1,26 @@
 //! Tunables of the ISIS runtime.
+//!
+//! The timings model the paper's environment: a LAN where heartbeats every
+//! 200 ms and a 1 s failure-detection timeout give sub-second membership
+//! reaction without drowning the network.
 
 use now_sim::SimDuration;
 
-/// Configuration of one ISIS process.
-///
-/// Defaults model the paper's environment: a LAN where heartbeats every
-/// 200 ms and a 1 s failure-detection timeout give sub-second membership
-/// reaction without drowning the network.
+/// Internal housekeeping tick driving heartbeats, failure detection, flush
+/// retries, and join retries.
+pub const TICK: SimDuration = SimDuration::from_millis(50);
+/// Interval between liveness/stability heartbeats to group peers.
+pub const HEARTBEAT: SimDuration = SimDuration::from_millis(200);
+/// Silence threshold after which a peer is suspected to have failed.
+pub const FD_TIMEOUT: SimDuration = SimDuration::from_millis(1_000);
+/// How long a view-change leader waits for flush acks before retrying.
+pub const FLUSH_RETRY: SimDuration = SimDuration::from_millis(500);
+/// How long a joiner waits for a view before re-sending its join request.
+pub const JOIN_RETRY: SimDuration = SimDuration::from_millis(1_000);
+
+/// Configuration of one ISIS process: the two switches callers set.
 #[derive(Clone, Debug)]
 pub struct IsisConfig {
-    /// Internal housekeeping tick driving heartbeats, failure detection,
-    /// flush retries, and join retries.
-    pub tick: SimDuration,
-    /// Interval between liveness/stability heartbeats to group peers.
-    pub heartbeat: SimDuration,
-    /// Silence threshold after which a peer is suspected to have failed.
-    pub fd_timeout: SimDuration,
-    /// How long a view-change leader waits for flush acks before retrying.
-    pub flush_retry: SimDuration,
-    /// How long a joiner waits for a view before re-sending its join
-    /// request.
-    pub join_retry: SimDuration,
     /// When `true`, a new view must contain a strict majority of the
     /// previous view (primary-partition rule); minority survivors stall
     /// instead of splitting the group. When `false`, the failure detector
@@ -35,11 +35,6 @@ pub struct IsisConfig {
 impl Default for IsisConfig {
     fn default() -> IsisConfig {
         IsisConfig {
-            tick: SimDuration::from_millis(50),
-            heartbeat: SimDuration::from_millis(200),
-            fd_timeout: SimDuration::from_millis(1_000),
-            flush_retry: SimDuration::from_millis(500),
-            join_retry: SimDuration::from_millis(1_000),
             partition_safety: false,
             heartbeats_enabled: true,
         }
@@ -73,8 +68,8 @@ mod tests {
     #[test]
     fn defaults_are_consistent() {
         let c = IsisConfig::default();
-        assert!(c.fd_timeout > c.heartbeat * 3, "FD must outlast several heartbeats");
-        assert!(c.tick < c.heartbeat);
+        assert!(FD_TIMEOUT > HEARTBEAT * 3, "FD must outlast several heartbeats");
+        assert!(TICK < HEARTBEAT);
         assert!(c.heartbeats_enabled);
         assert!(!c.partition_safety);
     }
@@ -83,7 +78,7 @@ mod tests {
     fn quiet_disables_heartbeats_only() {
         let c = IsisConfig::quiet();
         assert!(!c.heartbeats_enabled);
-        assert_eq!(c.fd_timeout, IsisConfig::default().fd_timeout);
+        assert_eq!(c.partition_safety, IsisConfig::default().partition_safety);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use now_sim::trace::{EventKind as TraceKind, MsgKey};
 use now_sim::{Ctx, Pid, SimTime};
 
 use crate::app::{Application, MsgOf};
-use crate::config::IsisConfig;
+use crate::config::{IsisConfig, HEARTBEAT};
 use crate::msg::{CastData, DeliveryFloor, IsisMsg, StabilityVector};
 use crate::types::{CastKind, GroupId, GroupView, IsisError, MsgId, ViewId};
 use crate::vclock::VClock;
@@ -248,7 +248,7 @@ pub(crate) struct GroupRuntime<A: Application> {
     pub(crate) live_since: SimTime,
     /// Evidence later than `live_since`, for view members other than this
     /// one: when each was last heard from. Sparse until the failure detector
-    /// first looks past `fd_timeout`, which fills in every silent member at
+    /// first looks past `FD_TIMEOUT`, which fills in every silent member at
     /// `live_since` (see [`GroupRuntime::check_fd`]).
     pub(crate) heard: BTreeMap<Pid, SimTime>,
     pub(crate) suspects: BTreeSet<Pid>,
@@ -261,7 +261,6 @@ pub(crate) struct GroupRuntime<A: Application> {
     pub(crate) vc: Option<Box<ViewChangeLead<A::Payload>>>,
     pub(crate) pending_joiners: Vec<Pid>,
     pub(crate) pending_leavers: Vec<Pid>,
-    pub(crate) leaving: bool,
 
     // --- ack tracking for my want_ack casts ---
     ack_counts: BTreeMap<MsgId, usize>,
@@ -327,7 +326,6 @@ impl<A: Application> GroupRuntime<A> {
             vc: None,
             pending_joiners: Vec::new(),
             pending_leavers: Vec::new(),
-            leaving: false,
             ack_counts: BTreeMap::new(),
             future_inbox: Vec::new(),
             in_relay: false,
@@ -1041,7 +1039,7 @@ impl<A: Application> GroupRuntime<A> {
             return;
         }
         let now = env.now();
-        if now.since(self.last_hb_sent) < env.cfg.heartbeat {
+        if now.since(self.last_hb_sent) < HEARTBEAT {
             return;
         }
         self.last_hb_sent = now;
@@ -1063,7 +1061,7 @@ mod tests {
     use now_sim::SimDuration;
 
     use super::GroupRuntime;
-    use crate::config::IsisConfig;
+    use crate::config::{IsisConfig, HEARTBEAT};
     use crate::msg::{CastData, IsisMsg, StabilityVector};
     use crate::testutil::{cluster, Cluster, RecorderApp};
     use crate::types::{CastKind, MsgId};
@@ -1080,10 +1078,9 @@ mod tests {
     #[test]
     fn abcast_state_stays_bounded_over_a_long_stream() {
         const N: usize = 16;
-        let cfg = IsisConfig::default();
         // Two heartbeat intervals' worth of casts at one per millisecond.
-        let bound = 2 * (cfg.heartbeat.as_micros() / 1_000) as usize;
-        let mut c = cluster(N, cfg, 21);
+        let bound = 2 * (HEARTBEAT.as_micros() / 1_000) as usize;
+        let mut c = cluster(N, IsisConfig::default(), 21);
         let gid = c.gid;
         for quarter in 0..4 {
             for i in 0..500 {

@@ -16,6 +16,7 @@ use now_sim::trace::EventKind as TraceKind;
 use now_sim::Pid;
 
 use crate::app::Application;
+use crate::config::{FD_TIMEOUT, FLUSH_RETRY};
 use crate::group::{Effect, Env, GroupRuntime, Status, ViewChangeLead};
 use crate::msg::{IsisMsg, RelaySet, StabilityVector};
 use crate::types::{has, GroupView, MsgId, ViewId};
@@ -102,8 +103,7 @@ impl<A: Application> GroupRuntime<A> {
             return;
         }
         let now = env.now();
-        let timeout = env.cfg.fd_timeout;
-        if now.since(self.live_since) <= timeout {
+        if now.since(self.live_since) <= FD_TIMEOUT {
             // Every member counts as heard from at the install.
             return;
         }
@@ -123,7 +123,7 @@ impl<A: Application> GroupRuntime<A> {
         let overdue: Vec<Pid> = self
             .heard
             .iter()
-            .filter(|(p, &t)| now.since(t) > timeout && !self.suspects.contains(p))
+            .filter(|(p, &t)| now.since(t) > FD_TIMEOUT && !self.suspects.contains(p))
             .map(|(&p, _)| p)
             .collect();
         for p in overdue {
@@ -188,7 +188,6 @@ impl<A: Application> GroupRuntime<A> {
             env.effects.push(Effect::DropGroup { gid: self.gid });
             return;
         }
-        self.leaving = true;
         if self.leader() == self.me {
             if !self.pending_leavers.contains(&self.me) {
                 self.pending_leavers.push(self.me);
@@ -609,7 +608,7 @@ impl<A: Application> GroupRuntime<A> {
         self.check_fd(env);
         let now = env.now();
         let retry = if let Some(vc) = &self.vc {
-            now.since(vc.started) > env.cfg.flush_retry
+            now.since(vc.started) > FLUSH_RETRY
         } else {
             false
         };
@@ -627,7 +626,7 @@ impl<A: Application> GroupRuntime<A> {
 mod tests {
     use now_sim::{Pid, SimDuration, SimTime};
 
-    use crate::config::IsisConfig;
+    use crate::config::{IsisConfig, FD_TIMEOUT, HEARTBEAT, TICK};
     use crate::testutil::{cluster, Cluster};
 
     fn count(c: &Cluster, name: &str) -> u64 {
@@ -635,23 +634,22 @@ mod tests {
     }
 
     /// A crashed member falls silent: the survivors suspect it once its
-    /// last heartbeat is `fd_timeout` old, and never suspect the members
+    /// last heartbeat is `FD_TIMEOUT` old, and never suspect the members
     /// that keep heartbeating.
     #[test]
     fn a_silent_member_is_suspected_after_fd_timeout_and_heard_ones_are_not() {
-        let cfg = IsisConfig::default();
-        let mut c = cluster(4, cfg.clone(), 5);
-        c.sim.run_for(cfg.fd_timeout * 3);
+        let mut c = cluster(4, IsisConfig::default(), 5);
+        c.sim.run_for(FD_TIMEOUT * 3);
         assert_eq!(count(&c, "isis.suspicions"), 0, "heartbeats keep every member heard from");
         let crashed_at = c.sim.now();
         c.sim.crash(c.pids[3]);
         while count(&c, "isis.suspicions") == 0 {
-            assert!(c.sim.now().since(crashed_at) < cfg.fd_timeout * 2, "never suspected");
+            assert!(c.sim.now().since(crashed_at) < FD_TIMEOUT * 2, "never suspected");
             c.sim.run_for(SimDuration::from_millis(1));
         }
         let silent = c.sim.now().since(crashed_at);
         assert!(
-            silent > cfg.fd_timeout - cfg.heartbeat && silent <= cfg.fd_timeout + cfg.tick,
+            silent > FD_TIMEOUT - HEARTBEAT && silent <= FD_TIMEOUT + TICK,
             "suspected {silent:?} after the crash"
         );
         c.await_membership(3, SimDuration::from_secs(10));
@@ -665,10 +663,8 @@ mod tests {
     /// flush.
     #[test]
     fn members_silent_since_the_install_are_suspected_in_pid_order() {
-        let cfg = IsisConfig::default();
-        let timeout = cfg.fd_timeout;
-        let mut c = cluster(5, cfg, 9);
-        c.sim.run_for(timeout * 2);
+        let mut c = cluster(5, IsisConfig::default(), 9);
+        c.sim.run_for(FD_TIMEOUT * 2);
         let (gid, p) = (c.gid, c.pids.clone());
         assert!(p.windows(2).all(|w| w[0] < w[1]), "members are in pid order");
         let (flushes, reports) = (count(&c, "isis.flushes_started"), count(&c, "isis.sent.suspect"));
@@ -679,7 +675,7 @@ mod tests {
                     let now = env.now();
                     // The install was two timeouts ago; since then p[2]
                     // and p[4] were heard from, p[0] and p[3] never.
-                    rt.reset_liveness(SimTime(now.0 - 2 * timeout.as_micros()));
+                    rt.reset_liveness(SimTime(now.0 - 2 * FD_TIMEOUT.as_micros()));
                     rt.heard_from(p[2], now);
                     rt.heard_from(p[4], now);
                     rt.check_fd(env);

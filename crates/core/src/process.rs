@@ -7,7 +7,7 @@ use now_sim::trace::EventKind as TraceKind;
 use now_sim::{Ctx, Pid, Process, SimTime, TimerId};
 
 use crate::app::{Application, MsgOf, Uplink, UpOp};
-use crate::config::IsisConfig;
+use crate::config::{IsisConfig, JOIN_RETRY, TICK};
 use crate::group::{Effect, Env, GroupRuntime, Status};
 use crate::msg::{DeliveryFloor, IsisMsg, RelaySet};
 use crate::types::{CastKind, GroupId, GroupView, IsisError, MsgId};
@@ -101,11 +101,6 @@ impl<A: Application> IsisProcess<A> {
     /// Whether this process is currently a member of `gid`.
     pub fn is_member(&self, gid: GroupId) -> bool {
         self.groups.contains_key(&gid)
-    }
-
-    /// Whether this process has a join in flight for `gid`.
-    pub fn is_joining(&self, gid: GroupId) -> bool {
-        self.joining.contains_key(&gid)
     }
 
     /// Joiners this member has accepted into `gid` but not yet installed —
@@ -595,7 +590,7 @@ impl<A: Application> Process for IsisProcess<A> {
     type Msg = MsgOf<A>;
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, Self::Msg>) {
-        ctx.set_timer(self.cfg.tick, TICK_KIND);
+        ctx.set_timer(TICK, TICK_KIND);
         let mut ops = Vec::new();
         {
             let mut up = Uplink {
@@ -690,7 +685,7 @@ impl<A: Application> Process for IsisProcess<A> {
             return;
         }
         debug_assert_eq!(kind, TICK_KIND);
-        ctx.set_timer(self.cfg.tick, TICK_KIND);
+        ctx.set_timer(TICK, TICK_KIND);
         // Snapshot group ids into the reusable buffer (BTreeMap keys are
         // already sorted); groups created mid-tick wait for the next one.
         let mut gids = std::mem::take(&mut self.tick_gids);
@@ -706,11 +701,10 @@ impl<A: Application> Process for IsisProcess<A> {
         // Join retries.
         if !self.joining.is_empty() {
             let now = ctx.now();
-            let retry = self.cfg.join_retry;
             let due: Vec<(GroupId, Pid)> = self
                 .joining
                 .iter_mut()
-                .filter(|(_, js)| now.since(js.last_attempt) >= retry)
+                .filter(|(_, js)| now.since(js.last_attempt) >= JOIN_RETRY)
                 .map(|(gid, js)| {
                     js.last_attempt = now;
                     (*gid, js.contact)

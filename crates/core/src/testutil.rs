@@ -42,11 +42,6 @@ impl RecorderApp {
             .map(|(_, _, _, p)| p.clone())
             .collect()
     }
-
-    /// The most recently installed view of `gid`.
-    pub fn last_view(&self, gid: GroupId) -> Option<&GroupView> {
-        self.views.iter().rev().find(|v| v.gid == gid)
-    }
 }
 
 impl Application for RecorderApp {
@@ -113,7 +108,7 @@ pub fn generic_cluster<A: Application>(
     n: usize,
     gid: GroupId,
     icfg: IsisConfig,
-    sim_cfg: now_sim::SimConfig,
+    sim_cfg: SimConfig,
     mut mk: impl FnMut(usize) -> A,
 ) -> (Sim<IsisProcess<A>>, Vec<Pid>) {
     assert!(n >= 1);
@@ -159,9 +154,6 @@ pub struct Cluster {
     pub gid: GroupId,
 }
 
-/// Default wait bound for cluster formation.
-const FORM_LIMIT: SimDuration = SimDuration::from_secs(120);
-
 /// Builds `n` processes on `n` nodes, all members of one group.
 ///
 /// The first pid creates the group; the rest join through it. Panics if the
@@ -176,27 +168,10 @@ pub fn cluster_lan(n: usize, cfg: IsisConfig, seed: u64) -> Cluster {
 }
 
 fn cluster_with_net(n: usize, cfg: IsisConfig, sim_cfg: SimConfig) -> Cluster {
-    assert!(n >= 1);
     let gid = GroupId(1);
-    let mut sim: Sim<IsisProcess<RecorderApp>> = Sim::new(sim_cfg);
-    let nodes = sim.add_nodes(n);
-    let pids: Vec<Pid> = nodes
-        .iter()
-        .map(|&nd| sim.spawn(nd, IsisProcess::new(RecorderApp::default(), cfg.clone())))
-        .collect();
-    sim.invoke(pids[0], |p, ctx| p.create_group(gid, ctx).expect("fresh gid cannot collide"));
-    for &p in &pids[1..] {
-        let contact = pids[0];
-        sim.invoke(p, |proc_, ctx| proc_.join(gid, contact, ctx).expect("group was just created"));
-    }
-    let mut c = Cluster {
-        sim,
-        pids,
-        nodes,
-        gid,
-    };
-    c.await_membership(n, FORM_LIMIT);
-    c
+    let (sim, pids) = generic_cluster(n, gid, cfg, sim_cfg, |_| RecorderApp::default());
+    let nodes = pids.iter().map(|&p| sim.node_of(p)).collect();
+    Cluster { sim, pids, nodes, gid }
 }
 
 impl Cluster {

@@ -422,7 +422,7 @@ fn casts_issued_during_view_change_are_not_lost() {
     // Give the failure detector time to wedge the group, then cast while
     // the flush is (likely) in progress.
     c.sim
-        .run_for(IsisConfig::default().fd_timeout + SimDuration::from_millis(20));
+        .run_for(isis_core::config::FD_TIMEOUT + SimDuration::from_millis(20));
     for &p in &c.pids.clone()[..4] {
         c.sim.invoke(p, |proc_, ctx| {
             proc_

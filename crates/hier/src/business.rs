@@ -40,7 +40,6 @@ pub enum LargeOp<Q> {
 pub struct LargeUplink<'x, 'a, 'b, B: LargeApp> {
     pub(crate) up: &'x mut Uplink<'a, 'b, crate::member::HierApp<B>>,
     pub(crate) ops: &'x mut Vec<LargeOp<B::Payload>>,
-    pub(crate) leaf_view: Option<&'x GroupView>,
     pub(crate) slices: &'x std::collections::BTreeMap<LargeGroupId, crate::view::RoutingSlice>,
 }
 
@@ -53,11 +52,6 @@ impl<'x, 'a, 'b, B: LargeApp> LargeUplink<'x, 'a, 'b, B> {
     /// This process's pid.
     pub fn me(&self) -> Pid {
         self.up.me()
-    }
-
-    /// View of the leaf the current callback concerns, when applicable.
-    pub fn leaf_view(&self) -> Option<&GroupView> {
-        self.leaf_view
     }
 
     /// The routing slice this process holds as a leaf representative of
@@ -100,35 +94,14 @@ impl<'x, 'a, 'b, B: LargeApp> LargeUplink<'x, 'a, 'b, B> {
         self.ops.push(LargeOp::Timer { delay, kind });
     }
 
-    /// Emits a labelled observation.
-    pub fn observe(&mut self, label: &'static str, value: f64) {
-        self.up.observe(label, value);
-    }
-
     /// Adds one to a named global counter (interned on first use).
     pub fn bump(&mut self, name: &'static str) {
         self.up.bump(name);
     }
 
-    /// Records a sample in a named global series (interned on first use).
-    pub fn sample(&mut self, name: &'static str, v: f64) {
-        self.up.sample(name, v);
-    }
-
     /// Records a duration sample (milliseconds).
     pub fn sample_duration(&mut self, name: &'static str, d: SimDuration) {
         self.up.sample_duration(name, d);
-    }
-
-    /// Registers (or looks up) a named counter, returning a dense handle
-    /// for allocation-free bumping via [`LargeUplink::bump_id`].
-    pub fn counter_id(&mut self, name: &'static str) -> now_sim::CounterId {
-        self.up.counter_id(name)
-    }
-
-    /// Adds one to an interned counter — a single array index.
-    pub fn bump_id(&mut self, id: now_sim::CounterId) {
-        self.up.bump_id(id);
     }
 
     /// Deterministic randomness.

@@ -3,6 +3,15 @@
 
 use now_sim::SimDuration;
 
+/// Period of hierarchical housekeeping (child-leaf monitoring, gap repair,
+/// forwarding retries).
+pub const TICK: SimDuration = SimDuration::from_millis(100);
+
+/// Entries kept in the root representative's stamp cache, which lets a
+/// resubmitted broadcast keep the global sequence number it was first
+/// given.
+pub const ASSIGNED_CAP: usize = 1_024;
+
 /// Structural and timing parameters of a large group.
 ///
 /// The paper (section 3) defines:
@@ -24,16 +33,11 @@ pub struct LargeGroupConfig {
     pub min_leaf: usize,
     /// Maximum leaf size; leaves above it are split.
     pub max_leaf: usize,
-    /// Period of hierarchical housekeeping (child-leaf monitoring, gap
-    /// repair, forwarding retries).
-    pub tick: SimDuration,
     /// Silence threshold after which a parent declares a child leaf dead
     /// (total leaf failure, reported to the leader).
     pub leaf_dead_timeout: SimDuration,
     /// How long a member waits on a sequence gap before requesting repair.
     pub repair_timeout: SimDuration,
-    /// Entries kept in each representative's re-forwarding cache.
-    pub repair_cache: usize,
 }
 
 impl LargeGroupConfig {
@@ -49,10 +53,8 @@ impl LargeGroupConfig {
             fanout,
             min_leaf,
             max_leaf: 2 * min_leaf + 1,
-            tick: SimDuration::from_millis(100),
             leaf_dead_timeout: SimDuration::from_millis(2_000),
             repair_timeout: SimDuration::from_millis(500),
-            repair_cache: 1_024,
         }
     }
 

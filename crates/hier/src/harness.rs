@@ -241,87 +241,27 @@ pub fn large_cluster_with(
     icfg: IsisConfig,
     scfg: SimConfig,
 ) -> LargeCluster {
-    let lgid = LargeGroupId(1);
-    let mut sim: Sim<HierProc> = Sim::new(scfg);
-
-    // Leader group.
-    let nleaders = cfg.resiliency.max(1);
-    let leaders: Vec<Pid> = (0..nleaders)
-        .map(|_| {
-            let nd = sim.add_nodes(1)[0];
-            sim.spawn(
-                nd,
-                IsisProcess::new(
-                    HierApp::with_timers(RecorderBiz::default(), cfg.clone()),
-                    icfg.clone(),
-                ),
-            )
-        })
-        .collect();
-    let cfg2 = cfg.clone();
-    sim.invoke(leaders[0], move |p, ctx| {
-        p.with_app(ctx, move |app, up| app.create_large(lgid, cfg2, up));
-    });
-    for &l in &leaders[1..] {
-        let contact = leaders[0];
-        sim.invoke(l, move |p, ctx| {
-            p.with_app(ctx, move |app, up| app.join_leader_group(lgid, contact, up));
+    let (mut sim, leaders, members) =
+        generic_large_cluster(n, cfg.clone(), icfg.clone(), scfg, |_| {
+            RecorderBiz::default()
         });
-    }
-    // Let the leader group form.
-    let deadline = sim.now() + SimDuration::from_secs(60);
-    while sim.now() < deadline {
-        let formed = leaders.iter().all(|&l| {
-            sim.process(l)
-                .view_of(lgid.leader_gid())
-                .is_some_and(|v| v.size() == nleaders)
-        });
-        if formed {
-            break;
-        }
-        assert!(sim.step(), "leader group never formed");
-    }
-
-    // Members join through the active leader.
-    let members: Vec<Pid> = (0..n)
-        .map(|_| {
-            let nd = sim.add_nodes(1)[0];
-            sim.spawn(
-                nd,
-                IsisProcess::new(
-                    HierApp::with_timers(RecorderBiz::default(), cfg.clone()),
-                    icfg.clone(),
-                ),
-            )
-        })
-        .collect();
-    for &m in &members {
-        let contact = leaders[0];
-        sim.invoke(m, move |p, ctx| {
-            p.with_app(ctx, move |app, up| app.join_large(lgid, contact, up));
-        });
-    }
-
     // A restarted workstation comes back as a brand-new process: same pid,
     // fresh incarnation, empty protocol and business state. Everything it
     // knew must be re-learned through rejoin + state transfer.
-    let (rcfg, ricfg) = (cfg.clone(), icfg.clone());
+    let rcfg = cfg.clone();
     sim.set_respawn(move |_pid| {
         IsisProcess::new(
             HierApp::with_timers(RecorderBiz::default(), rcfg.clone()),
-            ricfg.clone(),
+            icfg.clone(),
         )
     });
-
-    let mut c = LargeCluster {
+    LargeCluster {
         sim,
-        lgid,
+        lgid: LargeGroupId(1),
         leaders,
         members,
         cfg,
-    };
-    c.await_formation(SimDuration::from_secs(600));
-    c
+    }
 }
 
 impl LargeCluster {

@@ -19,7 +19,7 @@ use now_sim::{Pid, SimTime};
 use isis_core::{Application, CastKind, GroupId, GroupView, Uplink};
 
 use crate::business::{LargeApp, LargeOp, LargeUplink};
-use crate::config::LargeGroupConfig;
+use crate::config::{LargeGroupConfig, TICK};
 use crate::ids::{LargeGroupId, LbcastId};
 use crate::leader::LeaderReplica;
 use crate::msg::{CtlMsg, HierPayload, HierState, TreeMsg};
@@ -37,9 +37,7 @@ const SEEN_CAP: usize = 8_192;
 pub(crate) struct OutLbcast<Q> {
     pub payload: Q,
     pub resilient: bool,
-    pub complete: bool,
     pub last_try: SimTime,
-    pub attempts: u32,
 }
 
 /// Membership state for one large group.
@@ -310,9 +308,7 @@ impl<B: LargeApp> HierApp<B> {
             OutLbcast {
                 payload: payload.clone(),
                 resilient: false,
-                complete: false,
                 last_try: up.now(),
-                attempts: 1,
             },
         );
         self.route_submit(lgid, id, payload, up);
@@ -416,17 +412,6 @@ impl<B: LargeApp> HierApp<B> {
         up: &mut Uplink<'_, '_, Self>,
         f: impl FnOnce(&mut B, &mut LargeUplink<'_, '_, '_, B>),
     ) {
-        self.with_biz(up, None, f);
-    }
-
-    /// Runs a business callback and then executes the operations it
-    /// buffered.
-    pub(crate) fn with_biz(
-        &mut self,
-        up: &mut Uplink<'_, '_, Self>,
-        leaf_view: Option<&GroupView>,
-        f: impl FnOnce(&mut B, &mut LargeUplink<'_, '_, '_, B>),
-    ) {
         let mut ops = Vec::new();
         {
             let Self {
@@ -435,7 +420,6 @@ impl<B: LargeApp> HierApp<B> {
             let mut lup = LargeUplink {
                 up,
                 ops: &mut ops,
-                leaf_view,
                 slices: slices_cache,
             };
             f(biz, &mut lup);
@@ -476,10 +460,6 @@ impl<B: LargeApp> HierApp<B> {
     // Broadcast delivery at a member
     // ------------------------------------------------------------------
 
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "takes the unpacked fields of TreeMsg::LeafDeliver plus the leaf view"
-    )]
     pub(crate) fn member_deliver_lbcast(
         &mut self,
         lgid: LargeGroupId,
@@ -487,7 +467,6 @@ impl<B: LargeApp> HierApp<B> {
         id: LbcastId,
         ack_to: Option<Pid>,
         payload: &B::Payload,
-        leaf_view: Option<&GroupView>,
         up: &mut Uplink<'_, '_, Self>,
     ) {
         if let Some(to) = ack_to {
@@ -508,7 +487,7 @@ impl<B: LargeApp> HierApp<B> {
         up.trace_with(|| TraceKind::LbcastDeliver { lgid: tl, origin: torigin, lseq: tseq });
         let origin = id.origin;
         let p = payload.clone();
-        self.with_biz(up, leaf_view, |biz, lup| {
+        self.with_business(up, |biz, lup| {
             biz.on_lbcast(lgid, origin, &p, lup);
         });
     }
@@ -606,7 +585,7 @@ impl<B: LargeApp> HierApp<B> {
         ms.migrating_to = Some((target, contact));
         ms.old_leaf = ms.leaf;
         let from = ms.leaf;
-        self.with_biz(up, None, |biz, lup| {
+        self.with_business(up, |biz, lup| {
             biz.on_migrating(lgid, from, target, lup);
         });
         match contact {
@@ -714,15 +693,13 @@ impl<B: LargeApp> HierApp<B> {
             up.trace_with(|| TraceKind::StorageSample { lgid: tl, bytes, bound });
         }
 
-        let v = view.clone();
         if newly_joined {
-            self.with_biz(up, Some(&v), |biz, lup| {
-                biz.on_joined_large(lgid, v.gid, lup);
+            self.with_business(up, |biz, lup| {
+                biz.on_joined_large(lgid, view.gid, lup);
             });
         }
-        let v2 = view.clone();
-        self.with_biz(up, Some(&v2), |biz, lup| {
-            biz.on_leaf_view(lgid, &v2, lup);
+        self.with_business(up, |biz, lup| {
+            biz.on_leaf_view(lgid, view, lup);
         });
     }
 
@@ -807,7 +784,6 @@ impl<B: LargeApp> HierApp<B> {
                     .filter(|(_, o)| !o.resilient && now.since(o.last_try) >= retry)
                     .map(|(id, o)| {
                         o.last_try = now;
-                        o.attempts += 1;
                         (*id, o.payload.clone())
                     })
                     .collect()
@@ -834,8 +810,8 @@ impl<B: LargeApp> Application for HierApp<B> {
     type State = HierState<B::LeafState>;
 
     fn on_start(&mut self, up: &mut Uplink<'_, '_, Self>) {
-        up.set_app_timer(self.timers.tick, HIER_TICK);
-        self.with_biz(up, None, |biz, lup| biz.on_start(lup));
+        up.set_app_timer(TICK, HIER_TICK);
+        self.with_business(up, |biz, lup| biz.on_start(lup));
     }
 
     fn on_deliver(
@@ -865,9 +841,8 @@ impl<B: LargeApp> Application for HierApp<B> {
             }) => {
                 let (lgid, lseq, id, ack_to) = (*lgid, *lseq, *id, *ack_to);
                 let p = payload.clone();
-                let view = up.view().cloned();
                 self.rep_note_own_leaf_delivery(lgid, lseq, up);
-                self.member_deliver_lbcast(lgid, lseq, id, ack_to, &p, view.as_ref(), up);
+                self.member_deliver_lbcast(lgid, lseq, id, ack_to, &p, up);
             }
             HierPayload::Tree(_) => up.bump("hier.tree.misrouted"),
             HierPayload::Ctl(CtlMsg::DoSplit {
@@ -899,8 +874,7 @@ impl<B: LargeApp> Application for HierApp<B> {
             HierPayload::Ctl(_) => up.bump("hier.ctl.misrouted"),
             HierPayload::Biz(q) => {
                 let q = q.clone();
-                let view = up.view().cloned();
-                self.with_biz(up, view.as_ref(), |biz, lup| {
+                self.with_business(up, |biz, lup| {
                     biz.on_leaf_cast(gid, from, kind, &q, lup);
                 });
             }
@@ -911,7 +885,7 @@ impl<B: LargeApp> Application for HierApp<B> {
         match payload {
             HierPayload::Biz(q) => {
                 let q = q.clone();
-                self.with_biz(up, None, |biz, lup| biz.on_direct(from, &q, lup));
+                self.with_business(up, |biz, lup| biz.on_direct(from, &q, lup));
             }
             HierPayload::Tree(tm) => self.rep_handle_tree(from, tm.clone(), up),
             HierPayload::Ctl(cm) => self.member_handle_ctl(from, cm.clone(), up),
@@ -926,9 +900,8 @@ impl<B: LargeApp> Application for HierApp<B> {
             Some(lgid) => self.member_on_leaf_view(lgid, view, up),
             None => {
                 // A plain isis group the business uses directly.
-                let v = view.clone();
-                self.with_biz(up, Some(&v), |biz, lup| {
-                    biz.on_leaf_view(LargeGroupId(u32::MAX), &v, lup);
+                self.with_business(up, |biz, lup| {
+                    biz.on_leaf_view(LargeGroupId(u32::MAX), view, lup);
                 });
             }
         }
@@ -951,26 +924,25 @@ impl<B: LargeApp> Application for HierApp<B> {
         if !expected {
             self.members.remove(&lgid);
             self.reps.remove(&lgid);
-            self.with_biz(up, None, |biz, lup| biz.on_left_large(lgid, lup));
+            self.with_business(up, |biz, lup| biz.on_left_large(lgid, lup));
         }
     }
 
-    fn on_join_denied(&mut self, gid: GroupId, up: &mut Uplink<'_, '_, Self>) {
+    fn on_join_denied(&mut self, _gid: GroupId, up: &mut Uplink<'_, '_, Self>) {
         // A migration target may not exist yet; the member tick retries.
         up.bump("hier.join.leaf_denied");
-        let _ = gid;
     }
 
     fn on_app_timer(&mut self, kind: u32, up: &mut Uplink<'_, '_, Self>) {
         if kind == HIER_TICK {
-            up.set_app_timer(self.timers.tick, HIER_TICK);
+            up.set_app_timer(TICK, HIER_TICK);
             self.member_tick(up);
             self.rep_tick(up);
             self.leader_tick(up);
             return;
         }
         let biz_kind = kind - BIZ_TIMER_BASE;
-        self.with_biz(up, None, |biz, lup| biz.on_timer(biz_kind, lup));
+        self.with_business(up, |biz, lup| biz.on_timer(biz_kind, lup));
     }
 
     fn export_state(&self, gid: GroupId) -> Self::State {

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use now_sim::Pid;
 
-use isis_core::{GroupId, MsgId};
+use isis_core::GroupId;
 
 use crate::ids::{LargeGroupId, LbcastId};
 use crate::view::{HierView, RoutingSlice};
@@ -231,16 +231,6 @@ pub enum HierState<S> {
         min_leaf: usize,
         max_leaf: usize,
     },
-}
-
-/// Correlates a leaf-level ABCAST `MsgId` with the tree broadcast it
-/// carries (root-leaf resiliency ack tracking).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RootAckKey {
-    /// The leaf cast carrying the broadcast.
-    pub cast: MsgId,
-    /// The broadcast's global sequence.
-    pub lseq: u64,
 }
 
 #[cfg(test)]

@@ -18,6 +18,7 @@ use now_sim::{Pid, SimTime};
 use isis_core::{CastKind, GroupId, Uplink};
 
 use crate::business::LargeApp;
+use crate::config::ASSIGNED_CAP;
 use crate::ids::{LargeGroupId, LbcastId};
 use crate::member::HierApp;
 use crate::msg::{CtlMsg, HierPayload, LbcastStatus, TreeMsg};
@@ -61,8 +62,6 @@ pub(crate) struct RepState<Q> {
     pub next_lseq: u64,
     pub assigned: BTreeMap<LbcastId, u64>,
     pub assigned_order: VecDeque<LbcastId>,
-    /// Origin of each stamped lseq (root only, for origin acks).
-    pub origin_of: BTreeMap<u64, Pid>,
     /// Child-leaf liveness (total-failure detection).
     pub child_last: BTreeMap<GroupId, SimTime>,
     /// Dead children already reported (avoid report storms).
@@ -76,7 +75,8 @@ pub(crate) struct RepState<Q> {
     pub recent: VecDeque<(u64, LbcastId, Q)>,
 }
 
-/// Entries kept in each rep's recent-broadcast cache.
+/// Entries kept in each rep's recent-broadcast cache (the root's stamp
+/// cache has its own bound, [`ASSIGNED_CAP`]).
 const RECENT_CAP: usize = 128;
 
 impl<Q> RepState<Q> {
@@ -92,7 +92,6 @@ impl<Q> RepState<Q> {
             next_lseq: 1,
             assigned: BTreeMap::new(),
             assigned_order: VecDeque::new(),
-            origin_of: BTreeMap::new(),
             child_last: BTreeMap::new(),
             reported_dead: BTreeSet::new(),
             last_report: SimTime::ZERO,
@@ -116,7 +115,7 @@ impl<Q> RepState<Q> {
     /// VS-STORE invariant probe samples this, deliberately excluding
     /// transient in-flight tracking (`unacked`) and the root's assignment
     /// cache (`assigned`), which scale with offered load, are capped by
-    /// their own mechanisms (ack draining, `repair_cache` eviction), and
+    /// their own mechanisms (ack draining, `ASSIGNED_CAP` eviction), and
     /// say nothing about how storage scales with group *size*. The
     /// now-chaos sweep caught the earlier conflation: a broadcast storm
     /// into a freshly dead leaf queues retransmissions and tripped a
@@ -125,10 +124,10 @@ impl<Q> RepState<Q> {
         self.slice.as_ref().map_or(0, RoutingSlice::storage_bytes) + self.child_last.len() * 12
     }
 
-    fn remember_assignment(&mut self, id: LbcastId, lseq: u64, cap: usize) {
+    fn remember_assignment(&mut self, id: LbcastId, lseq: u64) {
         self.assigned.insert(id, lseq);
         self.assigned_order.push_back(id);
-        while self.assigned_order.len() > cap {
+        while self.assigned_order.len() > ASSIGNED_CAP {
             if let Some(old) = self.assigned_order.pop_front() {
                 self.assigned.remove(&old);
             }
@@ -165,12 +164,10 @@ impl<B: LargeApp> HierApp<B> {
                     None => {
                         let l = rep.next_lseq;
                         rep.next_lseq += 1;
-                        let cap = self.timers.repair_cache;
-                        rep.remember_assignment(id, l, cap);
+                        rep.remember_assignment(id, l);
                         l
                     }
                 };
-                rep.origin_of.insert(lseq, id.origin);
                 self.rep_distribute(lgid, lseq, id, payload, up);
             }
             Some(s) => {
@@ -472,7 +469,6 @@ impl<B: LargeApp> HierApp<B> {
                 .and_then(|s| s.parent.as_ref().and_then(LeafDesc::rep))
         });
         if rep.is_root() {
-            rep.origin_of.remove(&lseq);
             if t.id.origin == me {
                 self.origin_note_status(lgid, t.id, LbcastStatus::Complete, up);
             } else {
@@ -527,15 +523,12 @@ impl<B: LargeApp> HierApp<B> {
                     o.resilient = true;
                     reports.push(LbcastStatus::Resilient);
                 }
-                if !o.complete {
-                    o.complete = true;
-                    reports.push(LbcastStatus::Complete);
-                }
+                reports.push(LbcastStatus::Complete);
                 ms.out.remove(&id);
             }
         }
         for st in reports {
-            self.with_biz(up, None, |biz, lup| {
+            self.with_business(up, |biz, lup| {
                 biz.on_lbcast_status(lgid, id, st, lup);
             });
         }
@@ -885,7 +878,7 @@ impl<B: LargeApp> HierApp<B> {
             }
 
             // Retransmit unacked forwards.
-            type Resend<P> = Vec<(u64, LbcastId, P, Vec<(GroupId, Vec<Pid>)>, u64)>;
+            type Resend<P> = Vec<(u64, LbcastId, P, Vec<Vec<Pid>>, u64)>;
             let resend: Resend<B::Payload> = {
                 let rep = self.reps.get_mut(&lgid).expect("key just listed");
                 // Retarget from the *current* slice: beacons and pushes
@@ -908,7 +901,7 @@ impl<B: LargeApp> HierApp<B> {
                     .map(|(&lseq, t)| {
                         t.last_send = now;
                         t.send_attempts += 1;
-                        let targets: Vec<(GroupId, Vec<Pid>)> = t
+                        let targets: Vec<Vec<Pid>> = t
                             .pending_children
                             .iter()
                             .map(|(g, captured)| {
@@ -922,7 +915,7 @@ impl<B: LargeApp> HierApp<B> {
                                         c.push(p);
                                     }
                                 }
-                                (*g, c)
+                                c
                             })
                             .collect();
                         (lseq, t.id, t.payload.clone(), targets, t.send_attempts as u64)
@@ -935,7 +928,7 @@ impl<B: LargeApp> HierApp<B> {
                     .get(&lgid)
                     .and_then(|r| r.slice.as_ref())
                     .map_or(0, |s| s.epoch);
-                for (gid, contacts) in targets {
+                for contacts in targets {
                     if contacts.is_empty() {
                         continue;
                     }
@@ -952,7 +945,6 @@ impl<B: LargeApp> HierApp<B> {
                             payload: payload.clone(),
                         }),
                     );
-                    let _ = gid;
                 }
             }
 
@@ -985,5 +977,3 @@ impl<B: LargeApp> HierApp<B> {
         }
     }
 }
-
-fn _unused() {}

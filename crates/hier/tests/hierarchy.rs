@@ -5,7 +5,7 @@
 use isis_core::IsisMsg;
 use isis_hier::config::LargeGroupConfig;
 use isis_hier::harness::{large_cluster, large_cluster_lan, LargeCluster};
-use isis_hier::msg::{CtlMsg, HierPayload, LbcastStatus};
+use isis_hier::msg::{CtlMsg, HierPayload, LbcastStatus, TreeMsg};
 use now_sim::{Pid, SimDuration};
 
 fn settle(c: &mut LargeCluster, secs: u64) {
@@ -124,6 +124,26 @@ fn origin_learns_resilient_and_complete() {
         statuses.contains(&(id, LbcastStatus::Complete)),
         "origin never learned completion: {statuses:?}"
     );
+    // Late acks (a duplicate completion, a resilience ack overtaken by it)
+    // reach an origin that already retired the broadcast: each milestone
+    // is reported once, resilience first.
+    for status in [LbcastStatus::Complete, LbcastStatus::Resilient] {
+        let ack = TreeMsg::OriginAck {
+            lgid: c.lgid,
+            id,
+            status,
+        };
+        c.sim
+            .inject(origin, IsisMsg::Direct(HierPayload::Tree(ack)));
+    }
+    settle(&mut c, 1);
+    let statuses = &c.sim.process(origin).app().biz().statuses;
+    let mine: Vec<LbcastStatus> = statuses
+        .iter()
+        .filter(|(i, _)| *i == id)
+        .map(|&(_, s)| s)
+        .collect();
+    assert_eq!(mine, [LbcastStatus::Resilient, LbcastStatus::Complete]);
 }
 
 #[test]

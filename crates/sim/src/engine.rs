@@ -11,7 +11,7 @@
 //! sequence numbers, timer ids — comes from *per-process* state advanced in
 //! that process's own execution order. The event queue orders entries by
 //! the total key `(time, class, seq, source)`: `class` 0 is reserved for
-//! control events (crash/restart/partition) so they apply before same-time
+//! control events (crash/partition) so they apply before same-time
 //! traffic, `seq` is the per-source counter, and `source` breaks the
 //! remaining ties.
 //!
@@ -34,7 +34,7 @@ use now_trace::{EventKind as TraceKind, Tracer};
 
 use crate::ids::{NodeId, Pid, SiteId, TimerId};
 use crate::net::{NetConfig, Partition};
-use crate::stats::{ObservationLog, Stats};
+use crate::stats::Stats;
 use crate::time::{SimDuration, SimTime};
 use crate::transport::{Action, Ctx, Endpoint, Process, TimerFate};
 
@@ -79,13 +79,12 @@ enum Event {
     /// from a previous life never fire into a restarted process.
     Timer { pid: Pid, id: TimerId, kind: u32, inc: u32 },
     Crash(Pid),
-    Restart(Pid),
     SetPartition(Partition),
 }
 
 /// The total event-ordering key: `(at, class, seq, src)`.
 ///
-/// - `class` 0 = control events (crash/restart/partition), 1 = everything
+/// - `class` 0 = control events (crash/partition), 1 = everything
 ///   else; controls sort before same-time traffic.
 /// - `seq` is a *per-source* counter (each process slot owns one; harness
 ///   originated events draw from `Sim::ext_seq`).
@@ -180,7 +179,7 @@ pub struct Sim<P: Process> {
     node_sites: Vec<SiteId>,
     partition: Partition,
     /// The process host shared with the socket daemon: process table,
-    /// clock snapshot, RNGs, stats, observations, reusable action buffer,
+    /// clock snapshot, RNGs, stats, reusable action buffer,
     /// optional tracer. The sim is its single clock writer.
     ep: Endpoint<P>,
     /// Per ordered (src, dst) pair: latest scheduled arrival, used to keep
@@ -189,8 +188,8 @@ pub struct Sim<P: Process> {
     /// constraint) — pid-pair keyed tree walks were a route() hot spot.
     channel_clock: Vec<Vec<SimTime>>,
     /// Factory for the fresh process state of a restarted pid, registered
-    /// via [`Sim::set_respawn`]; required by [`Sim::restart`] and
-    /// [`Sim::schedule_restart`] (but not [`Sim::restart_with`]).
+    /// via [`Sim::set_respawn`]; required by [`Sim::restart`] (but not
+    /// [`Sim::restart_with`]).
     respawn: Option<Box<dyn Fn(Pid) -> P>>,
 }
 
@@ -313,11 +312,6 @@ impl<P: Process> Sim<P> {
         self.ep.stats_mut()
     }
 
-    /// The observation log.
-    pub fn observations(&self) -> &ObservationLog {
-        self.ep.observations()
-    }
-
     /// Immutable access to a process's state, alive or crashed.
     ///
     /// # Panics
@@ -347,11 +341,6 @@ impl<P: Process> Sim<P> {
     /// The node hosting `pid`.
     pub fn node_of(&self, pid: Pid) -> NodeId {
         self.ep.node_of(pid).expect("unknown pid")
-    }
-
-    /// All currently alive pids, in pid order.
-    pub fn alive_pids(&self) -> Vec<Pid> {
-        (0..self.ep.next_pid().0).map(Pid).filter(|p| self.is_alive(*p)).collect()
     }
 
     /// Kills `pid` in the host (tracing `how` once) and drops every FIFO
@@ -398,8 +387,8 @@ impl<P: Process> Sim<P> {
     }
 
     /// Registers the factory that builds the fresh process state of a
-    /// restarted pid. Required before [`Sim::restart`] or
-    /// [`Sim::schedule_restart`]; [`Sim::restart_with`] works without it.
+    /// restarted pid. Required before [`Sim::restart`];
+    /// [`Sim::restart_with`] works without it.
     pub fn set_respawn(&mut self, f: impl Fn(Pid) -> P + 'static) {
         self.respawn = Some(Box::new(f));
     }
@@ -436,23 +425,6 @@ impl<P: Process> Sim<P> {
         let seq = self.ep.next_seq(pid);
         self.push(self.ep.now(), 1, seq, pid.0, Event::Start { pid, inc });
         Some(inc)
-    }
-
-    /// Schedules a restart of `pid` at absolute time `at` (via the respawn
-    /// factory). A no-op at fire time if the pid is alive then.
-    pub fn schedule_restart(&mut self, pid: Pid, at: SimTime) {
-        assert!(at >= self.ep.now(), "cannot schedule a restart in the past");
-        let seq = self.ext_seq();
-        self.push(at, 0, seq, Pid::EXTERNAL.0, Event::Restart(pid));
-    }
-
-    /// Crashes every process hosted on `node` (a workstation power failure).
-    pub fn crash_node(&mut self, node: NodeId) {
-        for pid in (0..self.ep.next_pid().0).map(Pid) {
-            if self.ep.node_of(pid) == Some(node) {
-                self.crash(pid);
-            }
-        }
     }
 
     /// Schedules a crash of `pid` at absolute time `at`.
@@ -652,9 +624,6 @@ impl<P: Process> Sim<P> {
                 }
             },
             Event::Crash(pid) => self.crash(pid),
-            Event::Restart(pid) => {
-                self.restart(pid);
-            }
             Event::SetPartition(p) => self.partition = p,
         }
         true
@@ -985,21 +954,6 @@ mod tests {
     }
 
     #[test]
-    fn crash_node_kills_all_hosted_processes() {
-        let mut sim: Sim<Echo> = Sim::new(SimConfig::ideal(5));
-        let n0 = sim.add_node(SiteId(0));
-        let n1 = sim.add_node(SiteId(0));
-        let a = sim.spawn(n0, Echo::default());
-        let b = sim.spawn(n0, Echo::default());
-        let c = sim.spawn(n1, Echo::default());
-        sim.crash_node(n0);
-        assert!(!sim.is_alive(a));
-        assert!(!sim.is_alive(b));
-        assert!(sim.is_alive(c));
-        assert_eq!(sim.alive_pids(), vec![c]);
-    }
-
-    #[test]
     fn run_until_advances_clock_even_without_events() {
         let mut sim: Sim<Echo> = Sim::new(SimConfig::ideal(0));
         sim.run_until(SimTime(12_345));
@@ -1191,33 +1145,6 @@ mod tests {
             "the old life's timer must not fire in the new life"
         );
         assert_eq!(sim.armed_timers(), 0, "the stale timer entry still drains");
-    }
-
-    #[test]
-    fn scheduled_restart_fires_at_time_via_the_factory() {
-        let (mut sim, a, b) = two_procs();
-        sim.set_respawn(|_| Echo::default());
-        sim.crash(b);
-        sim.schedule_restart(b, SimTime(500));
-        sim.run_until(SimTime(400));
-        assert!(!sim.is_alive(b));
-        sim.run_until(SimTime(600));
-        assert!(sim.is_alive(b));
-        assert_eq!(sim.incarnation(b), 1);
-        // Delivery to the new life works.
-        sim.invoke(a, |_, ctx| ctx.send(b, "hello".into()));
-        sim.run_to_quiescence(SimTime(1_000_000));
-        assert_eq!(sim.process(b).got.len(), 1);
-    }
-
-    #[test]
-    fn scheduled_restart_of_a_live_pid_is_a_noop_at_fire_time() {
-        let (mut sim, _, b) = two_procs();
-        sim.set_respawn(|_| Echo::default());
-        sim.schedule_restart(b, SimTime(500));
-        sim.run_until(SimTime(1_000));
-        assert!(sim.is_alive(b));
-        assert_eq!(sim.incarnation(b), 0, "no bump when the pid never died");
     }
 
     #[test]

@@ -1,81 +1,12 @@
-//! Failure-injection schedules.
-//!
-//! The paper's reliability argument (section 1) is statistical: "the
-//! probability of component failures rises steadily with the number of
-//! components". This module turns per-workstation failure-rate assumptions
-//! into concrete crash schedules, so experiments E4/E5/E10 can inject the
-//! same failure pattern into flat and hierarchical configurations.
+//! Fault schedules: seeded, replayable partition flaps and message-storm
+//! firing times, the time-driven faults the `now-chaos` scenario fuzzer
+//! injects. Crashes need no schedule of their own: a harness calls
+//! `Sim::schedule_crash` or `Sim::crash` directly.
 
 use crate::det_rand::Rng;
-use rand_distr_shim::sample_exponential;
-
-use crate::ids::{NodeId, Pid};
+use crate::ids::NodeId;
 use crate::net::Partition;
 use crate::time::{SimDuration, SimTime};
-
-/// A planned crash of one process at one time.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PlannedCrash {
-    /// When the crash happens.
-    pub at: SimTime,
-    /// The victim.
-    pub victim: Pid,
-}
-
-/// Generates an MTBF-driven crash schedule over a population of processes.
-///
-/// Each process draws an independent exponential time-to-failure with the
-/// given mean; crashes after `horizon` are discarded. The result is sorted
-/// by time, so it can be fed to `Sim::schedule_crash` in order.
-pub fn mtbf_schedule<R: Rng>(
-    pids: &[Pid],
-    mtbf: SimDuration,
-    horizon: SimDuration,
-    rng: &mut R,
-) -> Vec<PlannedCrash> {
-    let mut plan: Vec<PlannedCrash> = pids
-        .iter()
-        .filter_map(|&victim| {
-            let ttf = sample_exponential(mtbf.as_micros() as f64, rng);
-            if ttf <= horizon.as_micros() as f64 {
-                Some(PlannedCrash {
-                    at: SimTime(ttf as u64),
-                    victim,
-                })
-            } else {
-                None
-            }
-        })
-        .collect();
-    plan.sort_by_key(|c| (c.at, c.victim));
-    plan
-}
-
-/// Picks `k` distinct victims uniformly from `pids` and schedules their
-/// crashes evenly across `(start, end)`. Deterministic given the RNG state.
-pub fn staged_crashes<R: Rng>(
-    pids: &[Pid],
-    k: usize,
-    start: SimTime,
-    end: SimTime,
-    rng: &mut R,
-) -> Vec<PlannedCrash> {
-    assert!(k <= pids.len(), "cannot crash more processes than exist");
-    assert!(end > start, "empty crash window");
-    let mut pool: Vec<Pid> = pids.to_vec();
-    // Partial Fisher-Yates: the first k slots become the victims.
-    for i in 0..k {
-        let j = rng.gen_range(i..pool.len());
-        pool.swap(i, j);
-    }
-    let span = end.since(start).as_micros();
-    (0..k)
-        .map(|i| PlannedCrash {
-            at: start + SimDuration::from_micros(span * (i as u64 + 1) / (k as u64 + 1)),
-            victim: pool[i],
-        })
-        .collect()
-}
 
 /// A planned replacement of the whole network partition state at one time.
 /// Feed to `Sim::schedule_partition` (or apply with `Sim::set_partition`
@@ -155,94 +86,10 @@ pub fn storm_times<R: Rng>(
     times
 }
 
-/// Analytic probability that at least one of `n` components with
-/// per-component failure probability `p` fails — the paper's "probability of
-/// component failures rises steadily with the number of components".
-pub fn prob_any_failure(n: usize, p: f64) -> f64 {
-    1.0 - (1.0 - p).powi(n as i32)
-}
-
-/// Analytic probability that *all* of `r` replicas fail (total failure of a
-/// resilient group), assuming independence.
-pub fn prob_total_failure(r: usize, p: f64) -> f64 {
-    p.powi(r as i32)
-}
-
-/// Minimal exponential sampling without pulling in `rand_distr`.
-mod rand_distr_shim {
-    use crate::det_rand::Rng;
-
-    /// Samples Exp(1/mean) by inverse transform.
-    pub fn sample_exponential<R: Rng>(mean: f64, rng: &mut R) -> f64 {
-        let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-        -mean * u.ln()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::det_rand::DetRng;
-
-    fn pids(n: u32) -> Vec<Pid> {
-        (0..n).map(Pid).collect()
-    }
-
-    #[test]
-    fn mtbf_schedule_is_sorted_and_within_horizon() {
-        let mut rng = DetRng::seed_from_u64(1);
-        let plan = mtbf_schedule(
-            &pids(100),
-            SimDuration::from_secs(100),
-            SimDuration::from_secs(50),
-            &mut rng,
-        );
-        for w in plan.windows(2) {
-            assert!(w[0].at <= w[1].at);
-        }
-        for c in &plan {
-            assert!(c.at <= SimTime::ZERO + SimDuration::from_secs(50));
-        }
-    }
-
-    #[test]
-    fn mtbf_schedule_scales_with_population() {
-        // With horizon == mtbf, each process fails with prob 1-1/e ~ 63%.
-        let mut rng = DetRng::seed_from_u64(2);
-        let small = mtbf_schedule(
-            &pids(50),
-            SimDuration::from_secs(10),
-            SimDuration::from_secs(10),
-            &mut rng,
-        );
-        let large = mtbf_schedule(
-            &pids(500),
-            SimDuration::from_secs(10),
-            SimDuration::from_secs(10),
-            &mut rng,
-        );
-        assert!(large.len() > small.len() * 5, "more components, more failures");
-    }
-
-    #[test]
-    fn staged_crashes_picks_distinct_victims() {
-        let mut rng = DetRng::seed_from_u64(3);
-        let plan = staged_crashes(&pids(20), 10, SimTime(0), SimTime(1_000_000), &mut rng);
-        let mut victims: Vec<Pid> = plan.iter().map(|c| c.victim).collect();
-        victims.sort();
-        victims.dedup();
-        assert_eq!(victims.len(), 10);
-        for c in &plan {
-            assert!(c.at > SimTime(0) && c.at < SimTime(1_000_000));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot crash more")]
-    fn staged_crashes_rejects_oversized_k() {
-        let mut rng = DetRng::seed_from_u64(4);
-        let _ = staged_crashes(&pids(3), 4, SimTime(0), SimTime(10), &mut rng);
-    }
 
     #[test]
     fn partition_flaps_alternate_split_and_heal() {
@@ -325,33 +172,6 @@ mod tests {
         assert_eq!(
             even,
             vec![SimTime(0), SimTime(100), SimTime(200), SimTime(300)]
-        );
-    }
-
-    #[test]
-    fn analytic_failure_probabilities() {
-        assert!((prob_any_failure(1, 0.1) - 0.1).abs() < 1e-12);
-        // More components -> strictly higher failure probability.
-        assert!(prob_any_failure(100, 0.01) > prob_any_failure(10, 0.01));
-        // Five nines from three replicas each 1% unreliable.
-        assert!((prob_total_failure(3, 0.01) - 1e-6).abs() < 1e-12);
-        // Degenerate cases.
-        assert_eq!(prob_any_failure(0, 0.5), 0.0);
-        assert_eq!(prob_total_failure(0, 0.5), 1.0);
-    }
-
-    #[test]
-    fn exponential_sample_mean_is_plausible() {
-        let mut rng = DetRng::seed_from_u64(5);
-        let mean = 1_000.0;
-        let n = 20_000;
-        let sum: f64 = (0..n)
-            .map(|_| super::rand_distr_shim::sample_exponential(mean, &mut rng))
-            .sum();
-        let observed = sum / n as f64;
-        assert!(
-            (observed - mean).abs() < mean * 0.05,
-            "observed mean {observed}"
         );
     }
 }

@@ -51,5 +51,5 @@ pub use engine::{Sim, SimConfig};
 pub use transport::{Action, Ctx, Endpoint, Process, TimerFate};
 pub use ids::{NodeId, Pid, SiteId, TimerId};
 pub use net::{LinkModel, NetConfig, Partition};
-pub use stats::{CounterId, ObservationLog, Series, SeriesId, Stats};
+pub use stats::{CounterId, Series, Stats};
 pub use time::{SimDuration, SimTime};

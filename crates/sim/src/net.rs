@@ -151,24 +151,6 @@ impl Partition {
         p
     }
 
-    /// Splits the network into several cells at once: each listed group of
-    /// nodes gets its own cell (1, 2, …); unlisted nodes stay in cell 0.
-    /// A node named in several groups ends up in the last one — callers
-    /// composing adversarial schedules should keep groups disjoint.
-    pub fn split_many<I>(groups: I) -> Partition
-    where
-        I: IntoIterator,
-        I::Item: IntoIterator<Item = NodeId>,
-    {
-        let mut p = Partition::default();
-        for (i, group) in groups.into_iter().enumerate() {
-            for n in group {
-                p.set_cell(n, i as u32 + 1);
-            }
-        }
-        p
-    }
-
     /// Heals the partition, reconnecting everything.
     pub fn heal(&mut self) {
         self.cells.clear();
@@ -260,20 +242,6 @@ mod tests {
         p.heal();
         assert!(p.is_healed());
         assert!(p.connected_pair(NodeId(0), NodeId(1)));
-    }
-
-    #[test]
-    fn split_many_gives_each_group_its_own_cell() {
-        let p = Partition::split_many([vec![NodeId(1), NodeId(2)], vec![NodeId(3)]]);
-        assert!(p.connected_pair(NodeId(1), NodeId(2)));
-        assert!(!p.connected_pair(NodeId(1), NodeId(3)));
-        assert!(!p.connected_pair(NodeId(0), NodeId(1)));
-        assert!(!p.connected_pair(NodeId(0), NodeId(3)));
-        assert!(p.connected_pair(NodeId(0), NodeId(4)));
-        assert_eq!(p.cells_in_use().len(), 3);
-        // The empty grouping is just a connected network.
-        let empty: [Vec<NodeId>; 0] = [];
-        assert!(Partition::split_many(empty).is_healed());
     }
 
     #[test]

@@ -5,17 +5,17 @@
 //! collected *here*, centrally, so protocol code needs no instrumentation
 //! beyond optional named counters and latency samples.
 //!
-//! Named counters and series are **interned**: the first `bump`/`sample`
-//! of a name registers it and assigns a dense [`CounterId`]/[`SeriesId`];
-//! every subsequent hit is an array index. Hot protocol paths can resolve
-//! the id once (via [`Stats::counter_id`] / [`Stats::series_id`]) and bump
-//! through the handle, which costs neither an allocation nor a tree walk.
-//! The name→id table is consulted only at registration and report time.
+//! Named counters are **interned**: the first `bump` of a name registers
+//! it and assigns a dense [`CounterId`]; every subsequent hit is an array
+//! index. Hot protocol paths can resolve the id once (via
+//! [`Stats::counter_id`]) and bump through the handle, which costs neither
+//! an allocation nor a tree walk. The name→id table is consulted only at
+//! registration and report time. Sample series are rare and keyed by name.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::ids::Pid;
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 
 /// Dense handle for a named counter, assigned at first registration.
 ///
@@ -24,10 +24,6 @@ use crate::time::{SimDuration, SimTime};
 /// script); reports are keyed by *name*, so ids never leak into output.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct CounterId(u32);
-
-/// Dense handle for a named sample series. See [`CounterId`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub struct SeriesId(u32);
 
 /// Per-process message counters.
 #[derive(Clone, Debug, Default)]
@@ -113,11 +109,6 @@ impl Series {
     pub fn p99(&self) -> f64 {
         self.quantile(0.99)
     }
-
-    /// Borrow the raw samples.
-    pub fn raw(&self) -> &[f64] {
-        &self.samples
-    }
 }
 
 /// Global simulation statistics.
@@ -150,12 +141,8 @@ pub struct Stats {
     counter_names: Vec<&'static str>,
     /// Counter values, indexed by `CounterId` — the hot-path store.
     counter_slots: Vec<u64>,
-    /// Name→id registration table for series (registration/report only).
-    series_index: BTreeMap<&'static str, u32>,
-    /// Series names, indexed by `SeriesId`.
-    series_names: Vec<&'static str>,
-    /// Series values, indexed by `SeriesId` — the hot-path store.
-    series_slots: Vec<Series>,
+    /// Sample series, by name.
+    series: BTreeMap<&'static str, Series>,
 }
 
 impl Stats {
@@ -263,18 +250,6 @@ impl Stats {
         CounterId(id)
     }
 
-    /// Registers (or looks up) the named series, returning its dense id.
-    pub fn series_id(&mut self, name: &'static str) -> SeriesId {
-        if let Some(&id) = self.series_index.get(name) {
-            return SeriesId(id);
-        }
-        let id = self.series_slots.len() as u32;
-        self.series_index.insert(name, id);
-        self.series_names.push(name);
-        self.series_slots.push(Series::default());
-        SeriesId(id)
-    }
-
     /// Adds `n` to an interned counter — a single array index.
     #[inline]
     pub fn bump_id_by(&mut self, id: CounterId, n: u64) {
@@ -285,12 +260,6 @@ impl Stats {
     #[inline]
     pub fn bump_id(&mut self, id: CounterId) {
         self.bump_id_by(id, 1);
-    }
-
-    /// Records one sample in an interned series — a single array index.
-    #[inline]
-    pub fn sample_id(&mut self, id: SeriesId, v: f64) {
-        self.series_slots[id.0 as usize].push(v);
     }
 
     /// Adds `n` to the named counter (registering it on first use). No
@@ -322,8 +291,7 @@ impl Stats {
 
     /// Records one sample in the named series (registering on first use).
     pub fn sample(&mut self, name: &'static str, v: f64) {
-        let id = self.series_id(name);
-        self.sample_id(id, v);
+        self.series.entry(name).or_default().push(v);
     }
 
     /// Records a duration sample in milliseconds.
@@ -333,9 +301,7 @@ impl Stats {
 
     /// Reads a named series (empty when never sampled).
     pub fn series(&self, name: &str) -> Series {
-        self.series_index
-            .get(name)
-            .map_or_else(Series::default, |&id| self.series_slots[id as usize].clone())
+        self.series.get(name).cloned().unwrap_or_default()
     }
 
     /// Resets message counters and series but keeps process table sizing
@@ -360,96 +326,10 @@ impl Stats {
         for c in &mut self.counter_slots {
             *c = 0;
         }
-        for s in &mut self.series_slots {
+        for s in self.series.values_mut() {
             *s = Series::default();
         }
     }
-}
-
-/// A single observation a process can emit for the harness to collect, with
-/// the simulated time at which it happened.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Observation {
-    /// When the observation was emitted.
-    pub at: SimTime,
-    /// The emitting process.
-    pub by: Pid,
-    /// Static label, e.g. `"delivered"` (static so emission never allocates).
-    pub label: &'static str,
-    /// Numeric payload (meaning depends on the label).
-    pub value: f64,
-}
-
-/// An append-only log of observations emitted by processes via
-/// [`crate::Ctx::observe`].
-#[derive(Clone, Debug, Default)]
-pub struct ObservationLog {
-    entries: Vec<Observation>,
-}
-
-impl ObservationLog {
-    pub(crate) fn push(&mut self, obs: Observation) {
-        self.entries.push(obs);
-    }
-
-    /// All observations in emission order.
-    pub fn all(&self) -> &[Observation] {
-        &self.entries
-    }
-
-    /// Observations with the given label.
-    pub fn with_label<'a>(&'a self, label: &'a str) -> impl Iterator<Item = &'a Observation> {
-        self.entries.iter().filter(move |o| o.label == label)
-    }
-
-    /// Count of observations with the given label.
-    pub fn count(&self, label: &str) -> usize {
-        self.with_label(label).count()
-    }
-
-    /// Clears the log.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-}
-
-/// Histogram-style bucket summary used by report printers.
-#[derive(Clone, Debug, Default)]
-pub struct CountMap<K: Ord> {
-    counts: BTreeMap<K, u64>,
-}
-
-impl<K: Ord> CountMap<K> {
-    /// Creates an empty count map.
-    pub fn new() -> CountMap<K> {
-        CountMap {
-            counts: BTreeMap::new(),
-        }
-    }
-
-    /// Adds one to the bucket for `k`.
-    pub fn bump(&mut self, k: K) {
-        *self.counts.entry(k).or_insert(0) += 1;
-    }
-
-    /// Reads the bucket for `k`.
-    pub fn get(&self, k: &K) -> u64 {
-        self.counts.get(k).copied().unwrap_or(0)
-    }
-
-    /// Iterates buckets in key order.
-    pub fn iter(&self) -> impl Iterator<Item = (&K, u64)> {
-        self.counts.iter().map(|(k, v)| (k, *v))
-    }
-}
-
-/// Extension: aggregates a `BTreeMap<Pid, u64>` into the hottest entries, for
-/// reports about which processes carry the load.
-pub fn hottest(map: &BTreeMap<Pid, u64>, k: usize) -> Vec<(Pid, u64)> {
-    let mut v: Vec<(Pid, u64)> = map.iter().map(|(p, c)| (*p, *c)).collect();
-    v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    v.truncate(k);
-    v
 }
 
 #[cfg(test)]
@@ -532,17 +412,12 @@ mod tests {
     fn interned_ids_alias_the_named_stores() {
         let mut st = Stats::default();
         let c = st.counter_id("hits");
-        let s = st.series_id("lat");
         st.bump_id(c);
         st.bump("hits");
         st.bump_id_by(c, 3);
-        st.sample_id(s, 2.0);
-        st.sample("lat", 4.0);
         assert_eq!(st.counter("hits"), 5);
-        assert_eq!(st.series("lat").mean(), 3.0);
         // Re-registering the same name yields the same id.
         assert_eq!(st.counter_id("hits"), c);
-        assert_eq!(st.series_id("lat"), s);
     }
 
     #[test]
@@ -588,46 +463,5 @@ mod tests {
             rev.push(*v);
         }
         assert_eq!(fwd.mean().to_bits(), rev.mean().to_bits());
-    }
-
-    #[test]
-    fn observation_log_filters_by_label() {
-        let mut log = ObservationLog::default();
-        log.push(Observation {
-            at: SimTime(1),
-            by: Pid(0),
-            label: "a",
-            value: 1.0,
-        });
-        log.push(Observation {
-            at: SimTime(2),
-            by: Pid(1),
-            label: "b",
-            value: 2.0,
-        });
-        assert_eq!(log.count("a"), 1);
-        assert_eq!(log.all().len(), 2);
-        assert_eq!(log.with_label("b").next().unwrap().value, 2.0);
-    }
-
-    #[test]
-    fn count_map_buckets() {
-        let mut m = CountMap::new();
-        m.bump(3);
-        m.bump(3);
-        m.bump(5);
-        assert_eq!(m.get(&3), 2);
-        assert_eq!(m.get(&4), 0);
-        assert_eq!(m.iter().count(), 2);
-    }
-
-    #[test]
-    fn hottest_sorts_descending() {
-        let mut m = BTreeMap::new();
-        m.insert(Pid(1), 5);
-        m.insert(Pid(2), 9);
-        m.insert(Pid(3), 9);
-        let h = hottest(&m, 2);
-        assert_eq!(h, vec![(Pid(2), 9), (Pid(3), 9)]);
     }
 }

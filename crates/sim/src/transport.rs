@@ -19,7 +19,7 @@ use now_trace::{EventKind as TraceKind, Tracer};
 
 use crate::det_rand::{DetRng, SplitMix64};
 use crate::ids::{NodeId, Pid, TimerId};
-use crate::stats::{CounterId, Observation, ObservationLog, SeriesId, Stats};
+use crate::stats::{CounterId, Stats};
 use crate::time::{SimDuration, SimTime};
 
 /// Behaviour of a hosted process.
@@ -27,7 +27,7 @@ use crate::time::{SimDuration, SimTime};
 /// All processes in one simulation (or one daemon) share a message type
 /// `Msg`; layered protocols embed their payloads in it. Callbacks receive a
 /// [`Ctx`] through which every externally visible effect (sends, timers,
-/// observations) must flow — this is what makes runs reproducible and
+/// counters) must flow — this is what makes runs reproducible and
 /// measurable.
 pub trait Process: 'static {
     /// The message type exchanged between processes in this simulation.
@@ -125,13 +125,12 @@ struct Slot<P> {
 }
 
 /// The process host shared by the simulator and the socket daemon: the
-/// process table, clock snapshot, stats, observations, reusable action
+/// process table, clock snapshot, stats, reusable action
 /// buffer and optional tracer, plus every booking rule.
 pub struct Endpoint<P: Process> {
     now: SimTime,
     seed: u64,
     stats: Stats,
-    obs: ObservationLog,
     scratch: Vec<Action<P::Msg>>,
     tracer: Option<Tracer>,
     slots: Vec<Option<Slot<P>>>,
@@ -145,7 +144,6 @@ impl<P: Process> Endpoint<P> {
             now: SimTime::ZERO,
             seed,
             stats: Stats::default(),
-            obs: ObservationLog::default(),
             scratch: Vec::new(),
             tracer: Tracer::from_env(),
             slots: Vec::new(),
@@ -173,11 +171,6 @@ impl<P: Process> Endpoint<P> {
     /// Mutable statistics (reset windows, per-proc tracking).
     pub fn stats_mut(&mut self) -> &mut Stats {
         &mut self.stats
-    }
-
-    /// The observation log.
-    pub fn observations(&self) -> &ObservationLog {
-        &self.obs
     }
 
     /// Attaches a tracer, replacing and returning any existing one.
@@ -317,7 +310,7 @@ impl<P: Process> Endpoint<P> {
     ) -> Option<(R, Vec<Action<P::Msg>>)> {
         // Split borrows: the process stays in place while the Ctx borrows
         // the endpoint's disjoint fields.
-        let Endpoint { now, stats, obs, scratch, tracer, slots, .. } = self;
+        let Endpoint { now, stats, scratch, tracer, slots, .. } = self;
         let slot = slots.get_mut(pid.0 as usize)?.as_mut().filter(|s| s.alive)?;
         let mut actions = std::mem::take(scratch);
         let r = {
@@ -327,7 +320,6 @@ impl<P: Process> Endpoint<P> {
                 incarnation: slot.incarnation,
                 rng: &mut slot.rng,
                 stats,
-                obs,
                 next_timer: &mut slot.next_timer,
                 actions: &mut actions,
                 tracer: tracer.as_mut(),
@@ -482,7 +474,6 @@ pub struct Ctx<'a, M> {
     incarnation: u32,
     rng: &'a mut DetRng,
     stats: &'a mut Stats,
-    obs: &'a mut ObservationLog,
     next_timer: &'a mut u64,
     actions: &'a mut Vec<Action<M>>,
     tracer: Option<&'a mut Tracer>,
@@ -560,26 +551,10 @@ impl<'a, M> Ctx<'a, M> {
         self.rng
     }
 
-    /// Emits a labelled observation for the harness. Labels are static so
-    /// emission never allocates.
-    pub fn observe(&mut self, label: &'static str, value: f64) {
-        self.obs.push(Observation {
-            at: self.now,
-            by: self.me,
-            label,
-            value,
-        });
-    }
-
     /// Registers (or looks up) a named counter, returning a dense handle.
     /// Hot paths resolve the id once and bump through [`Ctx::bump_id`].
     pub fn counter_id(&mut self, name: &'static str) -> CounterId {
         self.stats.counter_id(name)
-    }
-
-    /// Registers (or looks up) a named series, returning a dense handle.
-    pub fn series_id(&mut self, name: &'static str) -> SeriesId {
-        self.stats.series_id(name)
     }
 
     /// Adds one to an interned counter — a single array index.
@@ -594,20 +569,9 @@ impl<'a, M> Ctx<'a, M> {
         self.stats.bump_id_by(id, n);
     }
 
-    /// Records a sample in an interned series — a single array index.
-    #[inline]
-    pub fn sample_id(&mut self, id: SeriesId, v: f64) {
-        self.stats.sample_id(id, v);
-    }
-
     /// Adds one to a named global counter (interned on first use).
     pub fn bump(&mut self, name: &'static str) {
         self.stats.bump(name);
-    }
-
-    /// Records a sample in a named global series (interned on first use).
-    pub fn sample(&mut self, name: &'static str, v: f64) {
-        self.stats.sample(name, v);
     }
 
     /// Records a duration sample (milliseconds) in a named global series.
@@ -758,18 +722,17 @@ mod tests {
     }
 
     #[test]
-    fn endpoint_stats_and_observations_flow_through_ctx() {
+    fn endpoint_stats_flow_through_ctx() {
         let mut ep: Endpoint<Idle> = Endpoint::new(2);
         ep.host(Pid(1), NodeId(0), Idle);
-        ep.set_now(SimTime(7));
         let (_, a) = ep
             .run(Pid(1), None, |_, ctx| {
                 ctx.bump("x.count");
-                ctx.observe("y", 1.5);
+                ctx.sample_duration("y", SimDuration::from_millis(2));
             })
             .expect("alive");
         ep.give_back(a);
         assert_eq!(ep.stats().counter("x.count"), 1);
-        assert_eq!(ep.observations().all().len(), 1);
+        assert_eq!(ep.stats().series("y").len(), 1);
     }
 }

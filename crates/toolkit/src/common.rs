@@ -96,11 +96,6 @@ pub fn apply_command(state: &mut KvState, body: &str) -> String {
     }
 }
 
-/// Whether a command mutates state (used by read-one/write-all variants).
-pub fn is_read_only(body: &str) -> bool {
-    matches!(body.split_whitespace().next(), Some("GET") | None)
-}
-
 /// Deterministic key-to-shard routing (FNV-1a), used to assign keys and
 /// locks to leaves.
 pub fn shard_of(key: &str, shards: usize) -> usize {
@@ -160,13 +155,6 @@ mod tests {
         let mut s = KvState::new();
         assert_eq!(apply_command(&mut s, "PING 123"), "ECHO PING 123");
         assert_eq!(s.version, 0);
-    }
-
-    #[test]
-    fn read_only_detection() {
-        assert!(is_read_only("GET x"));
-        assert!(!is_read_only("PUT x 1"));
-        assert!(!is_read_only("ADD x 1"));
     }
 
     #[test]

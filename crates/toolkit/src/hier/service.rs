@@ -11,11 +11,11 @@
 //! - a **partitioned replicated store**: keys are sharded across leaves
 //!   (each leaf is the resilient home of its shard), and a member that
 //!   migrates to another leaf carries its old shard there;
-//! - **distributed transactions** ([`txn`]): two-phase commit whose
-//!   participants are leaf subgroups, with replicated staging so a leaf
-//!   tolerates member failures mid-transaction;
-//! - **distributed mutual exclusion** ([`lock`]): each lock lives in one
-//!   leaf's replicated queue; waiters anywhere are notified directly.
+//! - **distributed transactions** (the `txn` module): two-phase commit
+//!   whose participants are leaf subgroups, with replicated staging so a
+//!   leaf tolerates member failures mid-transaction;
+//! - **distributed mutual exclusion** (the `lock` module): each lock lives
+//!   in one leaf's replicated queue; waiters anywhere are notified directly.
 //!
 //! Key-to-leaf routing uses a *directory* (leaf gid → contacts) supplied
 //! by the caller; the paper defers the large-scale name service to future

@@ -50,4 +50,4 @@ pub mod common;
 pub mod flat;
 pub mod hier;
 
-pub use common::{apply_command, is_read_only, key_of, shard_of, KvState, ReqId};
+pub use common::{apply_command, key_of, shard_of, KvState, ReqId};

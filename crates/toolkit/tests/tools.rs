@@ -4,6 +4,7 @@ use std::collections::BTreeMap;
 
 use isis_core::testutil::generic_cluster;
 use isis_core::{Application, GroupId, IsisConfig, IsisProcess, Uplink};
+use isis_hier::harness::generic_large_cluster;
 use isis_hier::{HierApp, LargeApp, LargeGroupConfig, LargeGroupId, LargeUplink};
 use isis_toolkit::flat::FlatService;
 use isis_toolkit::hier::{home_leaf, Directory, LeafServiceApp, TreeParallel};
@@ -237,53 +238,13 @@ fn hier_cluster_of<B: LargeApp>(
     seed: u64,
     mk: impl Fn() -> B,
 ) -> (Sim<IsisProcess<HierApp<B>>>, Vec<Pid>, Vec<Pid>) {
-    let cfg = LargeGroupConfig::new(2, 3);
-    let mut sim = Sim::new(SimConfig::ideal(seed));
-    let spawn = |sim: &mut Sim<IsisProcess<HierApp<B>>>| {
-        let nd = sim.add_nodes(1)[0];
-        let app = HierApp::with_timers(mk(), cfg.clone());
-        sim.spawn(nd, IsisProcess::new(app, IsisConfig::default()))
-    };
-    let leaders: Vec<Pid> = (0..cfg.resiliency).map(|_| spawn(&mut sim)).collect();
-    let (contact, cfg2) = (leaders[0], cfg.clone());
-    sim.invoke(contact, move |p, ctx| {
-        p.with_app(ctx, move |app, up| app.create_large(LGID, cfg2, up));
-    });
-    for &l in &leaders[1..] {
-        sim.invoke(l, move |p, ctx| {
-            p.with_app(ctx, move |app, up| app.join_leader_group(LGID, contact, up));
-        });
-    }
-    sim.run_for(SimDuration::from_secs(5));
-    let members: Vec<Pid> = (0..n)
-        .map(|_| {
-            let p = spawn(&mut sim);
-            sim.invoke(p, move |proc_, ctx| {
-                proc_.with_app(ctx, move |app, up| app.join_large(LGID, contact, up));
-            });
-            p
-        })
-        .collect();
-    // Wait for formation.
-    let deadline = sim.now() + SimDuration::from_secs(300);
-    loop {
-        let ok = members
-            .iter()
-            .all(|&m| sim.process(m).app().is_large_member(LGID))
-            && sim
-                .process(contact)
-                .app()
-                .leader_view(LGID)
-                .is_some_and(|v| v.total_members() == n);
-        if ok {
-            break;
-        }
-        assert!(sim.now() < deadline, "hier service cluster failed to form");
-        if !sim.step() {
-            sim.run_for(SimDuration::from_millis(100));
-        }
-    }
-    (sim, leaders, members)
+    generic_large_cluster(
+        n,
+        LargeGroupConfig::new(2, 3),
+        IsisConfig::default(),
+        SimConfig::ideal(seed),
+        |_| mk(),
+    )
 }
 
 fn hier_cluster(n: usize, seed: u64) -> (HierSim, Vec<Pid>, Vec<Pid>) {
