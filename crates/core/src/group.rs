@@ -270,9 +270,9 @@ pub(crate) struct GroupRuntime<A: Application> {
 
     /// True from [`GroupRuntime::apply_relay`] until the
     /// [`GroupRuntime::install`] that must follow it; marks the relay's
-    /// trace deliveries as relays (exempt from the per-view ordering
-    /// monitors, which is correct: relays *are* the virtual-synchrony
-    /// cut). The held-back paths assert it is false: a relay leaves stale
+    /// trace deliveries as relays (the per-view ordering monitors exempt
+    /// only those that cross into another view than their message's).
+    /// The held-back paths assert it is false: a relay leaves stale
     /// entries in `pending_*`, `adata` and `aorder` that only the install
     /// clears.
     in_relay: bool,

@@ -101,7 +101,7 @@ fn pin_flow_analyzer_sees_the_protocol_enums() {
         ("CtlMsg", 13),
         ("LeaderCmd", 6),
         ("NameMsg", 4),
-        ("HSvcMsg", 12),
+        ("HSvcMsg", 7),
         ("SvcMsg", 3),
     ] {
         assert!(is_flow_enum_name(name));

@@ -1,10 +1,8 @@
-//! Hierarchical variants of the toolkit tools, restructured per section 4
-//! of the paper: requests are broadcast to individual subgroups, work and
-//! data are partitioned across leaves, and no process's load grows with
-//! the size of the large group.
+//! Hierarchical variant of the toolkit, restructured per section 4 of the
+//! paper: requests are broadcast to individual subgroups, data is
+//! partitioned across leaves, and no process's load grows with the size
+//! of the large group.
 
-pub mod parallel;
 pub mod service;
 
-pub use parallel::{HParMsg, TreeParallel};
 pub use service::{home_leaf, Directory, HSvcMsg, LeafServiceApp};

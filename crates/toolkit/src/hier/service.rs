@@ -13,18 +13,15 @@
 //!   migrates to another leaf carries its old shard there;
 //! - **distributed transactions** (the `txn` module): two-phase commit
 //!   whose participants are leaf subgroups, with replicated staging so a
-//!   leaf tolerates member failures mid-transaction;
-//! - **distributed mutual exclusion** (the `lock` module): each lock lives
-//!   in one leaf's replicated queue; waiters anywhere are notified directly.
+//!   leaf tolerates member failures mid-transaction.
 //!
 //! Key-to-leaf routing uses a *directory* (leaf gid → contacts) supplied
 //! by the caller; the paper defers the large-scale name service to future
 //! work (section 5), so the directory plays that role here.
 
-mod lock;
 mod txn;
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 use now_sim::{Pid, SimDuration};
 
@@ -34,8 +31,6 @@ use isis_hier::{LargeApp, LargeGroupId, LargeUplink};
 
 use crate::cohort::{Cohort, SvcMsg, RETRY_TICK};
 use crate::common::{key_of, shard_of, KvState, ReqId};
-
-pub use txn::apply_write;
 
 /// A directory snapshot: each leaf's gid and contact list, in tree order.
 /// Plays the role of the paper's (future-work) name service.
@@ -73,17 +68,6 @@ pub enum HSvcMsg {
     /// Intra-leaf (total cast): apply or discard the stage.
     Finish { txn: u64, commit: bool },
 
-    // ------------------------------------------- mutual exclusion -----
-    /// Waiter → lock-home leaf rep.
-    MAcquire { lock: String, waiter: Pid },
-    /// Holder → lock-home leaf rep.
-    MRelease { lock: String, holder: Pid },
-    /// Intra-leaf (total cast): replicated queue operations.
-    MQueue { lock: String, waiter: Pid },
-    MDequeue { lock: String, holder: Pid },
-    /// Lock-home leaf rep → waiter: you hold the lock now.
-    MGrant { lock: String },
-
     // ---------------------------------------------- shard migration -----
     /// Intra-leaf (total cast): a member migrating in from a dissolved or
     /// split leaf contributes that leaf's shard; receivers adopt keys they
@@ -117,15 +101,6 @@ pub struct LeafServiceApp {
     txns: BTreeMap<u64, txn::TxnProgress>,
     /// Transaction outcomes: txn -> committed.
     pub txn_results: BTreeMap<u64, bool>,
-    /// Participants abort staged transactions older than this (presumed
-    /// abort when the coordinator vanishes).
-    pub txn_abort_after: SimDuration,
-
-    // ---- locks ----
-    /// Replicated per-lock waiter queues (mutex tool).
-    lock_queues: BTreeMap<String, VecDeque<Pid>>,
-    /// Locks we currently hold (granted by their home leaves).
-    pub held_locks: Vec<String>,
 
     /// The shard this member carries across a leaf migration: opened when
     /// it starts to migrate, filled with the state a leaf state transfer
@@ -148,9 +123,6 @@ impl LeafServiceApp {
             next_txn: 0,
             txns: BTreeMap::new(),
             txn_results: BTreeMap::new(),
-            txn_abort_after: SimDuration::from_secs(20),
-            lock_queues: BTreeMap::new(),
-            held_locks: Vec::new(),
             carry: None,
             retry: SimDuration::from_millis(1_500),
         }
@@ -182,7 +154,7 @@ impl LeafServiceApp {
 
 impl LargeApp for LeafServiceApp {
     type Payload = HSvcMsg;
-    type LeafState = (KvState, Vec<(ReqId, String)>, Vec<(String, Vec<Pid>)>);
+    type LeafState = (KvState, Vec<(ReqId, String)>);
 
     fn on_lbcast(
         &mut self,
@@ -203,17 +175,9 @@ impl LargeApp for LeafServiceApp {
             HSvcMsg::Prepare { txn, coord, writes } => self.on_prepare(*txn, *coord, writes, up),
             HSvcMsg::Vote { txn, leaf, ok } => self.on_vote(*txn, *leaf, *ok, up),
             HSvcMsg::Decide { txn, commit } => self.on_decide(*txn, *commit, up),
-            HSvcMsg::MAcquire { lock, waiter } => self.on_acquire(lock, *waiter, up),
-            HSvcMsg::MRelease { lock, holder } => self.on_release(lock, *holder, up),
-            HSvcMsg::MGrant { lock } => {
-                if !self.held_locks.contains(lock) {
-                    self.held_locks.push(lock.clone());
-                }
-            }
             // Leaf-cast-only messages arriving point-to-point are protocol
             // errors.
-            HSvcMsg::Stage { .. } | HSvcMsg::Finish { .. } | HSvcMsg::MQueue { .. }
-            | HSvcMsg::MDequeue { .. } | HSvcMsg::MergeShard { .. } => {
+            HSvcMsg::Stage { .. } | HSvcMsg::Finish { .. } | HSvcMsg::MergeShard { .. } => {
                 up.bump("tool.hsvc.misrouted")
             }
         }
@@ -231,8 +195,6 @@ impl LargeApp for LeafServiceApp {
             HSvcMsg::Svc(m) => self.cohort.on_cast(from, m, &mut self.state, up),
             HSvcMsg::Stage { txn, coord, writes } => self.on_stage(leaf, *txn, *coord, writes, up),
             HSvcMsg::Finish { txn, commit } => self.on_finish(*txn, *commit),
-            HSvcMsg::MQueue { lock, waiter } => self.on_queue(lock, *waiter, up),
-            HSvcMsg::MDequeue { lock, holder } => self.on_dequeue(lock, *holder, up),
             HSvcMsg::MergeShard { entries } => {
                 for (k, v) in entries {
                     if self.state.get(k).is_none() {
@@ -240,15 +202,12 @@ impl LargeApp for LeafServiceApp {
                     }
                 }
             }
-            // 2PC coordination and lock traffic travel point-to-point (see
-            // `on_direct`); enumerate them so a new HSvcMsg variant forces
-            // a routing decision here.
-            HSvcMsg::Prepare { .. }
-            | HSvcMsg::Vote { .. }
-            | HSvcMsg::Decide { .. }
-            | HSvcMsg::MAcquire { .. }
-            | HSvcMsg::MRelease { .. }
-            | HSvcMsg::MGrant { .. } => up.bump("tool.hsvc.misrouted_cast"),
+            // 2PC coordination travels point-to-point (see `on_direct`);
+            // enumerate it so a new HSvcMsg variant forces a routing
+            // decision here.
+            HSvcMsg::Prepare { .. } | HSvcMsg::Vote { .. } | HSvcMsg::Decide { .. } => {
+                up.bump("tool.hsvc.misrouted_cast")
+            }
         }
     }
 
@@ -271,21 +230,16 @@ impl LargeApp for LeafServiceApp {
         view: &GroupView,
         up: &mut LargeUplink<'_, '_, '_, Self>,
     ) {
-        match self.cohort.on_view(view, &mut self.state, up) {
-            Some(prev) if prev.gid == view.gid => self.drop_departed_waiters(&prev, view),
-            // First view of a new leaf: hand it the shard we carried in.
-            _ => {
-                if let Some(entries) = self.carry.take().filter(|e| !e.is_empty()) {
-                    up.leaf_cast(self.lgid, CastKind::Total, HSvcMsg::MergeShard { entries });
-                }
+        let prev = self.cohort.on_view(view, &mut self.state, up);
+        // First view of a new leaf: hand it the shard we carried in.
+        if prev.is_none_or(|p| p.gid != view.gid) {
+            if let Some(entries) = self.carry.take().filter(|e| !e.is_empty()) {
+                up.leaf_cast(self.lgid, CastKind::Total, HSvcMsg::MergeShard { entries });
             }
         }
         if view.coordinator() == up.me() {
-            // Takeover duties beyond the cohort's: re-vote staged
-            // transactions and re-grant current lock holders (grants are
-            // idempotent at the waiters).
+            // Takeover duty beyond the cohort's: re-vote staged transactions.
             self.revote(view.gid, up);
-            self.regrant(up);
         }
     }
 
@@ -301,14 +255,7 @@ impl LargeApp for LeafServiceApp {
     }
 
     fn export_leaf_state(&self, _lgid: LargeGroupId, _leaf: GroupId) -> Self::LeafState {
-        (
-            self.state.clone(),
-            self.cohort.export_log(),
-            self.lock_queues
-                .iter()
-                .map(|(l, q)| (l.clone(), q.iter().copied().collect()))
-                .collect(),
-        )
+        (self.state.clone(), self.cohort.export_log())
     }
 
     fn import_leaf_state(
@@ -322,11 +269,6 @@ impl LargeApp for LeafServiceApp {
         }
         self.state = state.0;
         self.cohort.import_log(state.1);
-        self.lock_queues = state
-            .2
-            .into_iter()
-            .map(|(l, q)| (l, q.into_iter().collect()))
-            .collect();
     }
 
     fn payload_bytes(p: &HSvcMsg) -> usize {
@@ -338,11 +280,6 @@ impl LargeApp for LeafServiceApp {
                 16 + writes.iter().map(|(k, v)| k.len() + v.len() + 8).sum::<usize>()
             }
             HSvcMsg::Vote { .. } | HSvcMsg::Decide { .. } | HSvcMsg::Finish { .. } => 32,
-            HSvcMsg::MAcquire { lock, .. }
-            | HSvcMsg::MRelease { lock, .. }
-            | HSvcMsg::MQueue { lock, .. }
-            | HSvcMsg::MDequeue { lock, .. }
-            | HSvcMsg::MGrant { lock } => 16 + lock.len() + 8,
         }
     }
 }

@@ -6,7 +6,7 @@
 
 use std::collections::BTreeMap;
 
-use now_sim::{Pid, SimTime};
+use now_sim::{Pid, SimDuration, SimTime};
 
 use isis_core::{CastKind, GroupId};
 
@@ -16,10 +16,14 @@ use super::{home_leaf, Directory, HSvcMsg, LeafServiceApp};
 use crate::cohort::RETRY_TICK;
 use crate::common::KvState;
 
+/// Age at which a participant leaf's rep aborts a staged transaction that
+/// is still undecided (presumed abort when the coordinator vanishes).
+const TXN_ABORT_AFTER: SimDuration = SimDuration::from_secs(20);
+
 /// Applies one transactional write. Values of the form `+n` / `-n` are
 /// numeric deltas against the current value (read-modify-write under the
 /// transaction's lock); anything else is a blind put.
-pub fn apply_write(state: &mut KvState, key: &str, value: &str) {
+fn apply_write(state: &mut KvState, key: &str, value: &str) {
     let delta = value
         .strip_prefix('+')
         .map(|d| d.parse::<i64>())
@@ -200,7 +204,7 @@ impl LeafServiceApp {
 
     /// The retry tick: the coordinator re-prepares participants that have
     /// not voted; a participant rep aborts stages older than
-    /// `txn_abort_after`.
+    /// [`TXN_ABORT_AFTER`].
     pub(super) fn txn_tick(&mut self, up: &mut LargeUplink<'_, '_, '_, Self>) {
         let now = up.now();
         let coord = up.me();
@@ -218,7 +222,7 @@ impl LeafServiceApp {
         let stale: Vec<u64> = self
             .staged
             .iter()
-            .filter(|(_, st)| now.since(st.staged_at) >= self.txn_abort_after)
+            .filter(|(_, st)| now.since(st.staged_at) >= TXN_ABORT_AFTER)
             .map(|(t, _)| *t)
             .collect();
         for txn in stale {

@@ -5,12 +5,12 @@
 //! hierarchy bounds it by leaf size. This crate writes that tool once
 //! ([`cohort`]) and runs it over both kinds of group, so the experiments
 //! can compare them directly; the hierarchical side adds the partitioned
-//! store, distributed transactions, distributed mutual exclusion and
-//! subdivided parallel computation.
+//! store and the distributed transactions the factory floor runs.
 //!
 //! - [`cohort`]: the coordinator-cohort protocol and its group handle.
 //! - [`flat`]: the tool over one plain `isis-core` group.
-//! - [`hier`]: `isis-hier` business applications over leaf subgroups.
+//! - [`hier`]: the leaf service, an `isis-hier` business application over
+//!   leaf subgroups.
 //! - [`common`]: the replicated key-value state and request language both
 //!   variants share.
 //!

@@ -1,5 +1,5 @@
 //! Property-based tests of the toolkit: the command language over the
-//! replicated store, and the tree subdivision math of the parallel tool.
+//! replicated store.
 
 use isis_toolkit::common::{apply_command, KvState};
 use now_sim::detprop::prelude::*;
@@ -58,24 +58,5 @@ proptest! {
         prop_assert_eq!(forward.get("k"), backward.get("k"));
         let total: i64 = deltas.iter().sum();
         prop_assert_eq!(forward.get("k").unwrap(), &total.to_string());
-    }
-}
-
-// ---------------------------------------------------------------------
-// Tree subdivision math (hier parallel tool)
-// ---------------------------------------------------------------------
-
-proptest! {
-    #[test]
-    fn subtree_leaf_counts_partition_the_tree(
-        nleaves in 1usize..300,
-        fanout in 1usize..10,
-    ) {
-        use isis_toolkit::hier::parallel::subtree_leaves;
-        let total: usize = (1..=fanout)
-            .map(|c| subtree_leaves(c, nleaves, fanout))
-            .sum::<usize>()
-            + 1;
-        prop_assert_eq!(total, nleaves.max(1));
     }
 }

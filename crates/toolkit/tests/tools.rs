@@ -5,11 +5,11 @@ use std::collections::BTreeMap;
 use isis_core::testutil::generic_cluster;
 use isis_core::{Application, GroupId, IsisConfig, IsisProcess, Uplink};
 use isis_hier::harness::generic_large_cluster;
-use isis_hier::{HierApp, LargeApp, LargeGroupConfig, LargeGroupId, LargeUplink};
+use isis_hier::{HierApp, LargeGroupConfig, LargeGroupId, LargeUplink};
 use isis_toolkit::flat::FlatService;
-use isis_toolkit::hier::{home_leaf, Directory, LeafServiceApp, TreeParallel};
+use isis_toolkit::hier::{home_leaf, Directory, LeafServiceApp};
 use isis_toolkit::{KvState, ReqId};
-use now_sim::{Partition, Pid, Sim, SimConfig, SimDuration};
+use now_sim::{Pid, Sim, SimConfig, SimDuration};
 
 const GID: GroupId = GroupId(7);
 const LGID: LargeGroupId = LargeGroupId(1);
@@ -231,24 +231,16 @@ fn flat_service_no_duplicate_execution_under_retry() {
 
 type HierSim = Sim<IsisProcess<HierApp<LeafServiceApp>>>;
 
-/// A formed hierarchy of `n` members running `mk()`'s business app under
-/// two leaders: the sim, the leaders and the members.
-fn hier_cluster_of<B: LargeApp>(
-    n: usize,
-    seed: u64,
-    mk: impl Fn() -> B,
-) -> (Sim<IsisProcess<HierApp<B>>>, Vec<Pid>, Vec<Pid>) {
+/// A formed hierarchy of `n` service members under two leaders: the sim,
+/// the leaders and the members.
+fn hier_cluster(n: usize, seed: u64) -> (HierSim, Vec<Pid>, Vec<Pid>) {
     generic_large_cluster(
         n,
         LargeGroupConfig::new(2, 3),
         IsisConfig::default(),
         SimConfig::ideal(seed),
-        |_| mk(),
+        |_| LeafServiceApp::new(LGID),
     )
-}
-
-fn hier_cluster(n: usize, seed: u64) -> (HierSim, Vec<Pid>, Vec<Pid>) {
-    hier_cluster_of(n, seed, || LeafServiceApp::new(LGID))
 }
 
 fn directory(sim: &HierSim, leader: Pid) -> Directory {
@@ -263,10 +255,10 @@ fn directory(sim: &HierSim, leader: Pid) -> Directory {
 }
 
 /// Runs `f` on `p`'s business application, as an external prod.
-fn biz<B: LargeApp, R>(
-    sim: &mut Sim<IsisProcess<HierApp<B>>>,
+fn biz<R>(
+    sim: &mut HierSim,
     p: Pid,
-    f: impl FnOnce(&mut B, &mut LargeUplink<'_, '_, '_, B>) -> R,
+    f: impl FnOnce(&mut LeafServiceApp, &mut LargeUplink<'_, '_, '_, LeafServiceApp>) -> R,
 ) -> R {
     sim.invoke(p, |proc_, ctx| {
         proc_.with_app(ctx, |app, up| {
@@ -417,134 +409,4 @@ fn hier_txn_conflict_aborts_one() {
     } else if rb == Some(true) {
         assert_eq!((v1.as_deref(), v2.as_deref()), (Some("B"), Some("B")));
     }
-}
-
-#[test]
-fn hier_lock_is_exclusive_across_leaves() {
-    let (mut sim, leaders, members) = hier_cluster(9, 53);
-    let dir = directory(&sim, leaders[0]);
-    let (a, b) = (members[2], members[7]);
-    for p in [a, b] {
-        biz(&mut sim, p, |b, up| b.acquire_lock(&dir, "global-lock", up));
-    }
-    sim.run_for(SimDuration::from_secs(5));
-    let (ha, hb) = (holds(&sim, a, "global-lock"), holds(&sim, b, "global-lock"));
-    assert!(ha ^ hb, "exactly one process may hold the lock: a={ha} b={hb}");
-    // Release passes it over.
-    let (holder, waiter) = if ha { (a, b) } else { (b, a) };
-    biz(&mut sim, holder, |b, up| b.release_lock(&dir, "global-lock", up));
-    sim.run_for(SimDuration::from_secs(5));
-    assert!(holds(&sim, waiter, "global-lock"));
-}
-
-/// A lock whose home leaf has at least three members, and those members.
-fn lock_with_home_of_three(sim: &HierSim, dir: &Directory, members: &[Pid]) -> (String, Vec<Pid>) {
-    (0..100)
-        .map(|i| format!("lock{i}"))
-        .find_map(|lock| {
-            let gid = home_leaf(dir, &lock).0;
-            let home: Vec<Pid> = members
-                .iter()
-                .copied()
-                .filter(|&m| sim.process(m).app().leaf_of(LGID) == Some(gid))
-                .collect();
-            (home.len() >= 3).then_some((lock, home))
-        })
-        .expect("a home leaf with three members")
-}
-
-fn holds(sim: &HierSim, p: Pid, lock: &str) -> bool {
-    sim.process(p).app().biz().held_locks.iter().any(|l| l == lock)
-}
-
-/// `p` asks for `lock`, then the sim runs for two seconds.
-fn acquire(sim: &mut HierSim, dir: &Directory, p: Pid, lock: &str) {
-    biz(sim, p, |b, up| b.acquire_lock(dir, lock, up));
-    sim.run_for(SimDuration::from_secs(2));
-}
-
-/// A view change at a lock's home leaf keeps the waiters from other
-/// leaves queued at every replica, so a release still passes the lock on.
-#[test]
-fn remote_lock_waiter_survives_a_view_change_at_the_lock_home() {
-    let (mut sim, leaders, members) = hier_cluster(12, 59);
-    let dir = directory(&sim, leaders[0]);
-    let (lock, home) = lock_with_home_of_three(&sim, &dir, &members);
-    let victim = *home
-        .iter()
-        .find(|&&m| !sim.process(m).app().is_rep(LGID))
-        .expect("a non-rep member");
-    let remote: Vec<Pid> = members.iter().copied().filter(|m| !home.contains(m)).collect();
-    let (holder, waiter) = (remote[0], remote[1]);
-    for p in [holder, waiter] {
-        acquire(&mut sim, &dir, p, &lock);
-    }
-    assert!(
-        holds(&sim, holder, &lock) && !holds(&sim, waiter, &lock),
-        "precondition: holder first"
-    );
-    sim.crash(victim);
-    sim.run_for(SimDuration::from_secs(10));
-    biz(&mut sim, holder, |b, up| b.release_lock(&dir, &lock, up));
-    sim.run_for(SimDuration::from_secs(5));
-    assert!(holds(&sim, waiter, &lock), "{waiter} never granted {lock}");
-}
-
-/// A holder that leaves the lock's home leaf alive — here it is cut off
-/// and excluded — stays at the head of the queue, so the replicas do not
-/// grant its lock to a waiter as well.
-#[test]
-fn excluded_lock_holder_is_not_granted_over() {
-    let (mut sim, leaders, members) = hier_cluster(12, 59);
-    let dir = directory(&sim, leaders[0]);
-    let (lock, home) = lock_with_home_of_three(&sim, &dir, &members);
-    let holder = *home
-        .iter()
-        .find(|&&m| !sim.process(m).app().is_rep(LGID))
-        .expect("a non-rep member");
-    let waiter = *members.iter().find(|m| !home.contains(m)).expect("a remote member");
-    for p in [holder, waiter] {
-        acquire(&mut sim, &dir, p, &lock);
-    }
-    assert!(
-        holds(&sim, holder, &lock) && !holds(&sim, waiter, &lock),
-        "precondition: holder first"
-    );
-    let home_gid = home_leaf(&dir, &lock).0;
-    sim.set_partition(Partition::split([sim.node_of(holder)]));
-    sim.run_for(SimDuration::from_secs(10));
-    let peer = *home.iter().find(|&&m| m != holder).expect("a home peer");
-    let view = sim.process(peer).view_of(home_gid).expect("home leaf view");
-    assert!(
-        !view.contains(holder),
-        "precondition: {holder} excluded from the home leaf"
-    );
-    assert!(holds(&sim, holder, &lock), "{holder} still holds {lock}");
-    assert!(!holds(&sim, waiter, &lock), "{waiter} granted {lock} while {holder} holds it");
-}
-
-// ---------------------------------------------------------------------
-// Hierarchical parallel computation
-// ---------------------------------------------------------------------
-
-#[test]
-fn tree_parallel_computes_the_right_sum() {
-    let (mut sim, leaders, members) = hier_cluster_of(18, 61, || TreeParallel::new(LGID));
-    let root = sim
-        .process(leaders[0])
-        .app()
-        .leader_view(LGID)
-        .unwrap()
-        .root()
-        .unwrap()
-        .rep()
-        .unwrap();
-    let origin = members[11];
-    let task = biz(&mut sim, origin, |b, up| b.run(root, 0, 50_000, up));
-    sim.run_for(SimDuration::from_secs(20));
-    assert_eq!(
-        sim.process(origin).app().biz().result(task),
-        Some(isis_toolkit::hier::parallel::expected_sum(0, 50_000)),
-        "tree scatter/gather must cover the whole range exactly once"
-    );
 }

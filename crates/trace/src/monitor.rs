@@ -11,7 +11,7 @@
 //! | VS-PRIM   | primary-partition uniqueness: no two live members of one    |
 //! |           | group hold disjoint (split-brain) views concurrently        |
 //! | VS-DIV    | delivery-in-view: a broadcast is delivered in the view it   |
-//! |           | was sent in (flush relays are the sanctioned exception)     |
+//! |           | was sent in (cross-view flush relays are the exception)     |
 //! | VS-CO     | CBCAST causal order: a causal delivery's vector time is     |
 //! |           | deliverable w.r.t. what the receiver already delivered      |
 //! | VS-TO     | ABCAST total order: one message per (view, gseq) slot, and  |
@@ -231,9 +231,9 @@ impl Monitors {
                         ));
                     }
                 }
-                if *relay {
-                    // Flush catch-up: fold into receiver state, no checks —
-                    // relays legitimately cross the view boundary.
+                if *relay && msg.view != *view {
+                    // Cross-view flush catch-up: fold into receiver state,
+                    // no checks. A same-view relay is judged like any other.
                     let (cv, del) = self
                         .causal
                         .entry((*gid, ev.pid))

@@ -92,25 +92,42 @@ fn vs_prim_ignores_stalled_and_crashed_members() {
 // ----- VS-DIV: delivery-in-view ----------------------------------------
 
 #[test]
-fn vs_div_catches_cross_view_delivery_but_exempts_relays() {
+fn ordering_monitors_exempt_only_cross_view_relays() {
+    // A flush relay of `msg` to `pid`, delivered in `view` of group 7.
+    let relay = |tr: &mut Tracer, at, pid, view, msg, gseq, vt| {
+        tr.record(at, pid, None, EventKind::CastDeliver { gid: 7, view, msg, gseq, relay: true, vt })
+    };
     let msg = MsgKey { sender: 1, view: 3, stream: 1, seq: 1 };
     let mut tr = armed();
     deliver(&mut tr, 10, 2, 7, 3, msg.clone(), 0, vec![]);
     assert!(tr.violations().is_empty());
 
     // Relayed copy in view 4: sanctioned flush catch-up.
-    tr.record(
-        20,
-        3,
-        None,
-        EventKind::CastDeliver { gid: 7, view: 4, msg: msg.clone(), gseq: 0, relay: true, vt: vec![] },
-    );
+    relay(&mut tr, 20, 3, 4, msg.clone(), 0, vec![]);
     assert!(tr.violations().is_empty());
 
     // Non-relay delivery in the wrong view: violation.
     deliver(&mut tr, 30, 4, 7, 4, msg, 0, vec![]);
     assert_eq!(tr.violations().len(), 1);
     assert_eq!(tr.violations()[0].monitor, "VS-DIV");
+
+    // A relay of the current view's message is judged like any delivery:
+    // a causal relay in order passes, one that skips a sender seq is caught.
+    let causal = |seq: u64| MsgKey { sender: 1, view: 3, stream: 0, seq };
+    let mut tr2 = armed();
+    install(&mut tr2, 1, 9, 7, 3, &[1, 9]);
+    relay(&mut tr2, 10, 9, 3, causal(1), 0, vec![(1, 1)]);
+    assert!(tr2.violations().is_empty());
+    relay(&mut tr2, 20, 9, 3, causal(3), 0, vec![(1, 3)]);
+    let seen: Vec<_> = tr2.violations().iter().map(|v| (v.monitor, v.pids.clone())).collect();
+    assert_eq!(seen, [("VS-CO", vec![9, 1])]);
+
+    // So is a total relay that reuses another message's (view, gseq) slot.
+    let total = |sender: u32| MsgKey { sender, view: 3, stream: 2, seq: 1 };
+    deliver(&mut tr2, 30, 1, 7, 3, total(1), 1, vec![]);
+    relay(&mut tr2, 40, 9, 3, total(2), 1, vec![]);
+    let seen: Vec<_> = tr2.violations().iter().map(|v| (v.monitor, v.pids.clone())).collect();
+    assert_eq!(seen, [("VS-CO", vec![9, 1]), ("VS-TO", vec![9, 1])]);
 }
 
 // ----- VS-CO: causal order ---------------------------------------------

@@ -12,8 +12,7 @@
 //!   bounded-fanout tree broadcast. *The paper's contribution.*
 //! - [`toolkit`] (`isis-toolkit`): the coordinator-cohort tool, one
 //!   implementation over a flat group or a hierarchical leaf; over the
-//!   hierarchy also a partitioned store, mutual exclusion, parallel
-//!   computation and transactions.
+//!   hierarchy also a partitioned store and transactions.
 //! - [`apps`] (`isis-apps`): the trading-room and factory workloads.
 //!
 //! See `examples/` for runnable entry points and DESIGN.md for the
