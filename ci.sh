@@ -36,7 +36,10 @@
 #      tests/golden/chaos_sweep_1000_seed1.txt byte for byte, and the
 #      coverage census it writes to artifacts must be byte-identical
 #      (`cmp`) to tests/golden/chaos_census_1000_seed1.json,
-#  11. the whole-workspace linter (detlint rules R3, R4, R6, R7).
+#  11. every example under examples/ (`cargo run --release --example`), its
+#      stdout written to BENCH_artifacts/example_<name>.txt; a non-zero
+#      exit (membership_churn asserts delivery) fails the gate,
+#  12. the whole-workspace linter (detlint rules R3, R4, R6, R7).
 # Fails on the first broken step or on any lint finding.
 # Artifacts land in BENCH_artifacts/.
 set -euo pipefail
@@ -97,6 +100,13 @@ grep -v '^census written to ' BENCH_artifacts/chaos_sweep.txt \
     | diff -u tests/golden/chaos_sweep_1000_seed1.txt -
 echo "==> chaos census vs tests/golden/chaos_census_1000_seed1.json"
 cmp tests/golden/chaos_census_1000_seed1.json BENCH_artifacts/chaos_census.json
+
+echo "==> examples (stdout to BENCH_artifacts/example_<name>.txt)"
+for ex in examples/*.rs; do
+    name=$(basename "$ex" .rs)
+    echo "--> $name"
+    cargo run --quiet --release --example "$name" > "BENCH_artifacts/example_$name.txt"
+done
 
 echo "==> cargo run -p detlint"
 cargo run --quiet -p detlint

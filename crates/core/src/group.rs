@@ -1058,17 +1058,47 @@ impl<A: Application> GroupRuntime<A> {
 mod tests {
     use std::collections::BTreeMap;
 
-    use now_sim::SimDuration;
+    use now_sim::{Pid, SimDuration};
 
-    use super::GroupRuntime;
+    use super::{GroupRuntime, SENT_COUNTER_NAMES};
     use crate::config::{IsisConfig, HEARTBEAT};
     use crate::msg::{CastData, IsisMsg, StabilityVector};
     use crate::testutil::{cluster, Cluster, RecorderApp};
-    use crate::types::{CastKind, MsgId};
+    use crate::types::{CastKind, GroupId, MsgId};
     use crate::vclock::VClock;
 
     fn rt(c: &Cluster, i: usize) -> &GroupRuntime<RecorderApp> {
         c.sim.process(c.pids[i]).runtime(c.gid).expect("member")
+    }
+
+    #[test]
+    fn categories_distinguish_cast_kinds() {
+        let counter = |msg: IsisMsg<u32, ()>| SENT_COUNTER_NAMES[msg.category_index()];
+        let cast = |kind: CastKind| {
+            IsisMsg::Cast(CastData {
+                gid: GroupId(1),
+                view: 1,
+                kind,
+                id: MsgId {
+                    sender: Pid(0),
+                    view: 1,
+                    stream: kind.stream(),
+                    seq: 1,
+                },
+                vt: VClock::new(),
+                stab: StabilityVector::default(),
+                want_ack: false,
+                payload: 7,
+            })
+        };
+        assert_eq!(counter(cast(CastKind::Causal)), "isis.sent.cast_causal");
+        assert_eq!(counter(cast(CastKind::Total)), "isis.sent.cast_total");
+        assert_eq!(counter(cast(CastKind::Fifo)), "isis.sent.cast_fifo");
+        let hb = IsisMsg::Heartbeat {
+            gid: GroupId(1),
+            stab: StabilityVector::default(),
+        };
+        assert_eq!(counter(hb), "isis.sent.heartbeat");
     }
 
     /// The `CastKind::Total` twin of the flat decay check, by count: what a

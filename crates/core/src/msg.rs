@@ -3,8 +3,8 @@
 //! One enum covers membership (join/leave/flush/install), data casts,
 //! liveness, and application-direct traffic, so a single simulated process
 //! type can run the whole stack. Every send is classified by
-//! [`IsisMsg::category`] into a named counter, letting experiments report
-//! protocol overhead per message class.
+//! [`IsisMsg::category_index`] into a named counter, letting experiments
+//! report protocol overhead per message class.
 
 use now_sim::Pid;
 
@@ -199,32 +199,8 @@ pub enum IsisMsg<P, S> {
 }
 
 impl<P, S> IsisMsg<P, S> {
-    /// Classifies the message for per-category send counters.
-    pub fn category(&self) -> &'static str {
-        match self {
-            IsisMsg::JoinReq { .. } => "join_req",
-            IsisMsg::JoinForward { .. } => "join_fwd",
-            IsisMsg::JoinDenied { .. } => "join_denied",
-            IsisMsg::LeaveReq { .. } => "leave_req",
-            IsisMsg::SuspectReport { .. } => "suspect",
-            IsisMsg::Flush { .. } => "flush",
-            IsisMsg::FlushAck { .. } => "flush_ack",
-            IsisMsg::InstallView { .. } => "install",
-            IsisMsg::Cast(c) => match c.kind {
-                CastKind::Fifo => "cast_fifo",
-                CastKind::Causal => "cast_causal",
-                CastKind::Total => "cast_total",
-            },
-            IsisMsg::AbcastOrder { .. } => "abcast_order",
-            IsisMsg::CastAck { .. } => "cast_ack",
-            IsisMsg::Heartbeat { .. } => "heartbeat",
-            IsisMsg::Direct(_) => "direct",
-        }
-    }
-
-    /// Dense category index (same order as [`IsisMsg::category`] names),
-    /// used to pick the interned per-category send counter without string
-    /// comparisons on the hot path.
+    /// Dense category index into the per-category send counters, so the
+    /// hot path picks an interned counter without string comparisons.
     pub fn category_index(&self) -> usize {
         match self {
             IsisMsg::JoinReq { .. } => 0,
@@ -341,18 +317,6 @@ mod tests {
             want_ack: false,
             payload: 7,
         })
-    }
-
-    #[test]
-    fn categories_distinguish_cast_kinds() {
-        assert_eq!(cast(CastKind::Causal).category(), "cast_causal");
-        assert_eq!(cast(CastKind::Total).category(), "cast_total");
-        assert_eq!(cast(CastKind::Fifo).category(), "cast_fifo");
-        let hb: M = IsisMsg::Heartbeat {
-            gid: GroupId(1),
-            stab: StabilityVector::default(),
-        };
-        assert_eq!(hb.category(), "heartbeat");
     }
 
     #[test]

@@ -40,7 +40,6 @@ pub enum LargeOp<Q> {
 pub struct LargeUplink<'x, 'a, 'b, B: LargeApp> {
     pub(crate) up: &'x mut Uplink<'a, 'b, crate::member::HierApp<B>>,
     pub(crate) ops: &'x mut Vec<LargeOp<B::Payload>>,
-    pub(crate) slices: &'x std::collections::BTreeMap<LargeGroupId, crate::view::RoutingSlice>,
 }
 
 impl<'x, 'a, 'b, B: LargeApp> LargeUplink<'x, 'a, 'b, B> {
@@ -52,12 +51,6 @@ impl<'x, 'a, 'b, B: LargeApp> LargeUplink<'x, 'a, 'b, B> {
     /// This process's pid.
     pub fn me(&self) -> Pid {
         self.up.me()
-    }
-
-    /// The routing slice this process holds as a leaf representative of
-    /// `lgid`, if it currently is one (bounded, `O(fanout)` structure).
-    pub fn routing_slice(&self, lgid: LargeGroupId) -> Option<&crate::view::RoutingSlice> {
-        self.slices.get(&lgid)
     }
 
     /// Broadcasts to every member of the large group via the tree.

@@ -43,7 +43,6 @@ pub(crate) enum PendingOp {
 pub(crate) struct LeaderReplica {
     pub view: HierView,
     pub next_slot: u32,
-    pub resiliency: usize,
     pub min_leaf: usize,
     pub max_leaf: usize,
     pub pending: BTreeMap<GroupId, PendingOp>,
@@ -67,7 +66,6 @@ impl LeaderReplica {
         LeaderReplica {
             view: HierView::empty(lgid, cfg.fanout, cfg.resiliency, leader_members.clone()),
             next_slot: 1,
-            resiliency: cfg.resiliency,
             min_leaf: cfg.min_leaf,
             max_leaf: cfg.max_leaf,
             pending: BTreeMap::new(),
@@ -79,7 +77,6 @@ impl LeaderReplica {
     pub(crate) fn from_snapshot(
         view: HierView,
         next_slot: u32,
-        resiliency: usize,
         min_leaf: usize,
         max_leaf: usize,
     ) -> LeaderReplica {
@@ -87,7 +84,6 @@ impl LeaderReplica {
             leader_members: view.leader_contacts.clone(),
             view,
             next_slot,
-            resiliency,
             min_leaf,
             max_leaf,
             pending: BTreeMap::new(),
@@ -99,7 +95,6 @@ impl LeaderReplica {
         HierState::Leader {
             view: self.view.clone(),
             next_slot: self.next_slot,
-            resiliency: self.resiliency,
             min_leaf: self.min_leaf,
             max_leaf: self.max_leaf,
         }

@@ -141,9 +141,6 @@ pub struct HierApp<B: LargeApp> {
     pub(crate) leaders: BTreeMap<LargeGroupId, LeaderReplica>,
     /// Active-leader-only: last beacon seen from each root leaf.
     pub(crate) root_beacons: BTreeMap<LargeGroupId, SimTime>,
-    /// Read-only copy of each rep role's routing slice, exposed to the
-    /// business application through [`LargeUplink::routing_slice`].
-    pub(crate) slices_cache: BTreeMap<LargeGroupId, crate::view::RoutingSlice>,
 }
 
 impl<B: LargeApp> HierApp<B> {
@@ -163,7 +160,6 @@ impl<B: LargeApp> HierApp<B> {
             reps: BTreeMap::new(),
             leaders: BTreeMap::new(),
             root_beacons: BTreeMap::new(),
-            slices_cache: BTreeMap::new(),
         }
     }
 
@@ -413,17 +409,7 @@ impl<B: LargeApp> HierApp<B> {
         f: impl FnOnce(&mut B, &mut LargeUplink<'_, '_, '_, B>),
     ) {
         let mut ops = Vec::new();
-        {
-            let Self {
-                biz, slices_cache, ..
-            } = self;
-            let mut lup = LargeUplink {
-                up,
-                ops: &mut ops,
-                slices: slices_cache,
-            };
-            f(biz, &mut lup);
-        }
+        f(&mut self.biz, &mut LargeUplink { up, ops: &mut ops });
         self.apply_large_ops(ops, up);
     }
 
@@ -654,7 +640,6 @@ impl<B: LargeApp> HierApp<B> {
             self.reps.insert(lgid, rs);
         } else if !am_rep && was_rep {
             self.reps.remove(&lgid);
-            self.slices_cache.remove(&lgid);
         }
         if let Some(rep) = self.reps.get_mut(&lgid) {
             rep.leaf = view.gid;
@@ -837,7 +822,6 @@ impl<B: LargeApp> Application for HierApp<B> {
                 id,
                 ack_to,
                 payload,
-                ..
             }) => {
                 let (lgid, lseq, id, ack_to) = (*lgid, *lseq, *id, *ack_to);
                 let p = payload.clone();
@@ -967,13 +951,12 @@ impl<B: LargeApp> Application for HierApp<B> {
             HierState::Leader {
                 view,
                 next_slot,
-                resiliency,
                 min_leaf,
                 max_leaf,
             } => {
                 let lgid = view.lgid;
-                self.leaders
-                    .insert(lgid, LeaderReplica::from_snapshot(view, next_slot, resiliency, min_leaf, max_leaf));
+                let replica = LeaderReplica::from_snapshot(view, next_slot, min_leaf, max_leaf);
+                self.leaders.insert(lgid, replica);
             }
         }
     }

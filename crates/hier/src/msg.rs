@@ -44,7 +44,6 @@ pub enum TreeMsg<Q> {
     /// sequence number by the root.
     Forward {
         lgid: LargeGroupId,
-        epoch: u64,
         lseq: u64,
         id: LbcastId,
         payload: Q,
@@ -55,7 +54,6 @@ pub enum TreeMsg<Q> {
     /// the paper's `resiliency` acknowledgements.
     LeafDeliver {
         lgid: LargeGroupId,
-        epoch: u64,
         lseq: u64,
         id: LbcastId,
         ack_to: Option<Pid>,
@@ -66,7 +64,6 @@ pub enum TreeMsg<Q> {
     /// A child representative reports its whole subtree delivered.
     SubtreeAck {
         lgid: LargeGroupId,
-        epoch: u64,
         lseq: u64,
         /// The acking leaf (parents track pending children by gid).
         leaf: GroupId,
@@ -163,7 +160,6 @@ pub enum CtlMsg {
     LeafBeacon {
         lgid: LargeGroupId,
         leaf: GroupId,
-        epoch: u64,
         contacts: Vec<Pid>,
     },
 }
@@ -227,7 +223,6 @@ pub enum HierState<S> {
     Leader {
         view: HierView,
         next_slot: u32,
-        resiliency: usize,
         min_leaf: usize,
         max_leaf: usize,
     },

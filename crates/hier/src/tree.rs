@@ -28,7 +28,6 @@ use crate::view::{LeafDesc, RoutingSlice};
 #[derive(Debug)]
 pub(crate) struct Track<Q> {
     pub id: LbcastId,
-    pub epoch: u64,
     pub payload: Q,
     /// Our own leaf has delivered (our copy of the LeafDeliver arrived).
     pub own_done: bool,
@@ -54,7 +53,7 @@ pub(crate) struct RepState<Q> {
     /// Next lseq expected from upstream (contiguity for global order).
     pub next_expected: u64,
     /// Out-of-order forwards buffered for contiguity.
-    pub ooo: BTreeMap<u64, (u64, LbcastId, Q)>,
+    pub ooo: BTreeMap<u64, (LbcastId, Q)>,
     pub ooo_since: Option<SimTime>,
     /// In-flight broadcasts awaiting subtree acks.
     pub unacked: BTreeMap<u64, Track<Q>>,
@@ -236,27 +235,21 @@ impl<B: LargeApp> HierApp<B> {
             } else if let Some(p) = parent {
                 up.direct(
                     p,
-                    HierPayload::Tree(TreeMsg::SubtreeAck {
-                        lgid,
-                        epoch: 0,
-                        lseq,
-                        leaf,
-                    }),
+                    HierPayload::Tree(TreeMsg::SubtreeAck { lgid, lseq, leaf }),
                 );
             }
             return;
         }
 
-        let (epoch, children, is_root) = match &rep.slice {
+        let (children, is_root) = match &rep.slice {
             Some(s) => (
-                s.epoch,
                 s.children
                     .iter()
                     .map(|c| (c.gid, c.contacts.clone()))
                     .collect::<Vec<_>>(),
                 s.is_root(),
             ),
-            None => (0, Vec::new(), false),
+            None => (Vec::new(), false),
         };
 
         // Intra-leaf distribution (total order within the leaf).
@@ -266,7 +259,6 @@ impl<B: LargeApp> HierApp<B> {
             CastKind::Total,
             HierPayload::Tree(TreeMsg::LeafDeliver {
                 lgid,
-                epoch,
                 lseq,
                 id,
                 ack_to,
@@ -285,7 +277,6 @@ impl<B: LargeApp> HierApp<B> {
                     c,
                     HierPayload::Tree(TreeMsg::Forward {
                         lgid,
-                        epoch,
                         lseq,
                         id,
                         payload: payload.clone(),
@@ -302,7 +293,6 @@ impl<B: LargeApp> HierApp<B> {
             lseq,
             Track {
                 id,
-                epoch,
                 payload,
                 own_done: false,
                 pending_children: pending,
@@ -347,7 +337,6 @@ impl<B: LargeApp> HierApp<B> {
             }
             TreeMsg::Forward {
                 lgid,
-                epoch,
                 lseq,
                 id,
                 payload,
@@ -363,7 +352,7 @@ impl<B: LargeApp> HierApp<B> {
                     // Contiguous continuation from the buffer.
                     while let Some(r) = self.reps.get_mut(&lgid) {
                         let next = r.next_expected;
-                        let Some((_, bid, bpayload)) = r.ooo.remove(&next) else {
+                        let Some((bid, bpayload)) = r.ooo.remove(&next) else {
                             if r.ooo.is_empty() {
                                 r.ooo_since = None;
                             }
@@ -377,11 +366,11 @@ impl<B: LargeApp> HierApp<B> {
                     if rep.ooo_since.is_none() {
                         rep.ooo_since = Some(up.now());
                     }
-                    rep.ooo.insert(lseq, (epoch, id, payload));
+                    rep.ooo.insert(lseq, (id, payload));
                     up.bump("hier.forward.ooo");
                 }
             }
-            TreeMsg::SubtreeAck { lgid, lseq, leaf, .. } => {
+            TreeMsg::SubtreeAck { lgid, lseq, leaf } => {
                 if let Some(rep) = self.reps.get_mut(&lgid) {
                     rep.child_last.insert(leaf, up.now());
                     if let Some(t) = rep.unacked.get_mut(&lseq) {
@@ -484,12 +473,7 @@ impl<B: LargeApp> HierApp<B> {
         } else if let Some(p) = parent {
             up.direct(
                 p,
-                HierPayload::Tree(TreeMsg::SubtreeAck {
-                    lgid,
-                    epoch: t.epoch,
-                    lseq,
-                    leaf,
-                }),
+                HierPayload::Tree(TreeMsg::SubtreeAck { lgid, lseq, leaf }),
             );
         }
     }
@@ -597,8 +581,6 @@ impl<B: LargeApp> HierApp<B> {
             }
             ms.leader_contacts.truncate(6);
         }
-        let epoch = slice.epoch;
-        self.slices_cache.insert(lgid, slice.clone());
         let rep = self.reps.get_mut(&lgid).expect("rep checked above");
         rep.slice = Some(slice);
         // Children that just appeared under us may have missed
@@ -611,7 +593,6 @@ impl<B: LargeApp> HierApp<B> {
                     c,
                     HierPayload::Tree(TreeMsg::Forward {
                         lgid,
-                        epoch,
                         lseq: *lseq,
                         id: *id,
                         payload: payload.clone(),
@@ -724,7 +705,6 @@ impl<B: LargeApp> HierApp<B> {
                 lgid,
                 leaf,
                 contacts,
-                ..
             } => {
                 // From a child rep (or, at the leader, from the root rep).
                 if let Some(rep) = self.reps.get_mut(&lgid) {
@@ -771,7 +751,7 @@ impl<B: LargeApp> HierApp<B> {
         let lgids: Vec<LargeGroupId> = self.reps.keys().copied().collect();
         for lgid in lgids {
             // Beacon to our parent (or the leader if we are the root),
-            // paced at a quarter of the dead-leaf timeout.
+            // paced at an eighth of the dead-leaf timeout.
             let due = {
                 let rep = self.reps.get_mut(&lgid).expect("key just listed");
                 if now.since(rep.last_beacon) >= dead_after / 8 {
@@ -790,7 +770,6 @@ impl<B: LargeApp> HierApp<B> {
                 let contacts: Vec<Pid> = ms
                     .map(|m| m.leaf_members.iter().copied().take(4).collect())
                     .unwrap_or_default();
-                let epoch = rep.slice.as_ref().map_or(0, |s| s.epoch);
                 let target = if rep.is_root() || rep.slice.is_none() {
                     rep.slice
                         .as_ref()
@@ -803,19 +782,11 @@ impl<B: LargeApp> HierApp<B> {
                             .and_then(|s| s.parent.as_ref().and_then(LeafDesc::rep))
                     })
                 };
-                target.map(|t| (t, rep.leaf, epoch, contacts))
+                target.map(|t| (t, rep.leaf, contacts))
             };
-            if let Some((t, leaf, epoch, contacts)) = beacon {
+            if let Some((t, leaf, contacts)) = beacon {
                 if t != up.me() {
-                    up.direct(
-                        t,
-                        HierPayload::Ctl(CtlMsg::LeafBeacon {
-                            lgid,
-                            leaf,
-                            epoch,
-                            contacts,
-                        }),
-                    );
+                    up.direct(t, HierPayload::Ctl(CtlMsg::LeafBeacon { lgid, leaf, contacts }));
                 }
             }
 
@@ -923,11 +894,6 @@ impl<B: LargeApp> HierApp<B> {
                     .collect()
             };
             for (lseq, id, payload, targets, attempt) in resend {
-                let epoch = self
-                    .reps
-                    .get(&lgid)
-                    .and_then(|r| r.slice.as_ref())
-                    .map_or(0, |s| s.epoch);
                 for contacts in targets {
                     if contacts.is_empty() {
                         continue;
@@ -939,7 +905,6 @@ impl<B: LargeApp> HierApp<B> {
                         c,
                         HierPayload::Tree(TreeMsg::Forward {
                             lgid,
-                            epoch,
                             lseq,
                             id,
                             payload: payload.clone(),
@@ -956,7 +921,7 @@ impl<B: LargeApp> HierApp<B> {
                         let drained: Vec<(u64, LbcastId, B::Payload)> = rep
                             .ooo
                             .iter()
-                            .map(|(&l, (_, id, p))| (l, *id, p.clone()))
+                            .map(|(&l, (id, p))| (l, *id, p.clone()))
                             .collect();
                         rep.ooo.clear();
                         rep.ooo_since = None;

@@ -146,11 +146,8 @@ impl HierView {
         assert!(i < self.leaves.len(), "leaf index out of range");
         RoutingSlice {
             lgid: self.lgid,
-            epoch: self.epoch,
             my_index: i,
-            num_leaves: self.leaves.len(),
             resiliency: self.resiliency,
-            fanout: self.fanout,
             my_gid: self.leaves[i].gid,
             parent: self.parent(i).map(|p| self.leaves[p].clone()),
             children: self
@@ -203,27 +200,17 @@ impl HierView {
 /// What one leaf representative stores to route tree broadcasts: bounded by
 /// `O(fanout × resiliency)` regardless of the large group's size.
 ///
-/// A rep's slice is refreshed only when its own neighbourhood changes (a
-/// child appended, a neighbour's rep replaced) or the tree is renumbered,
-/// so `epoch` and `num_leaves` are as of that last refresh and may lag the
-/// leader's view. Routing never reads them; they are for observability.
-/// (The toolkit's tree-parallel tool also weighs subtrees by `num_leaves`:
-/// a stale count skews its load balance, never its coverage, since every
-/// child in the slice was counted when the slice was pushed.)
+/// A rep's slice is pushed by the leader when its own neighbourhood changes
+/// (a child appended, a neighbour's rep replaced) or the tree is renumbered;
+/// in between, child beacons refresh its children's contacts in place.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RoutingSlice {
     /// The large group.
     pub lgid: LargeGroupId,
-    /// The leader's structure epoch when this slice was last pushed.
-    pub epoch: u64,
     /// This leaf's index in tree order.
     pub my_index: usize,
-    /// Number of leaves when this slice was last pushed (one integer).
-    pub num_leaves: usize,
     /// Resiliency threshold of the large group.
     pub resiliency: usize,
-    /// Tree fanout (children of index `i` live at `fanout*i + 1 ..`).
-    pub fanout: usize,
     /// This leaf's group id.
     pub my_gid: GroupId,
     /// Parent leaf contacts (`None` at the root).

@@ -28,9 +28,9 @@ fn formation_announces_each_leaf_to_its_neighbourhood_only() {
     let pushes = st.counter("hier.push_neighbourhood");
     assert!(pushes <= 2 * leaves, "{pushes} neighbourhood pushes for {leaves} leaves");
 
-    // Routing equivalence: each rep routes exactly as the leader's view
-    // says. `epoch` and `num_leaves` are as of each rep's last
-    // neighbourhood change and are not compared.
+    // Routing equivalence: each rep's slice names the leaves the leader's
+    // view says. Contacts are not compared: child beacons refresh them in
+    // place between pushes.
     let gids = |ls: &[isis_hier::LeafDesc]| ls.iter().map(|l| l.gid).collect::<Vec<GroupId>>();
     for (idx, leaf) in view.leaves.iter().enumerate() {
         let rep = leaf.rep().expect("every leaf has a rep");

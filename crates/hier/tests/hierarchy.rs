@@ -307,6 +307,36 @@ fn total_leaf_failure_repairs_the_tree() {
     }
 }
 
+/// A child's beacon refreshes that child's contacts in its parent rep's
+/// slice, which is where the parent's forward retries look for targets.
+#[test]
+fn a_child_beacon_refreshes_its_contacts_in_the_parent_slice() {
+    let mut c = large_cluster(24, LargeGroupConfig::new(3, 3), 31);
+    settle(&mut c, 5);
+    let v = c.leader_hier_view().unwrap().clone();
+    assert!(v.num_leaves() >= 2);
+    let parent = v.leaves[0].rep().expect("root leaf has a rep");
+    let child = v.leaves[1].gid;
+    let fresh = vec![Pid(9_001), Pid(9_002)];
+    let child_contacts = |c: &LargeCluster| {
+        let slice = c.sim.process(parent).app().routing_slice(c.lgid);
+        let slice = slice.expect("the root rep holds a slice");
+        let desc = slice.children.iter().find(|d| d.gid == child);
+        desc.expect("leaf 1 is a child of the root").contacts.clone()
+    };
+    assert_ne!(child_contacts(&c), fresh);
+    let beacon = CtlMsg::LeafBeacon {
+        lgid: c.lgid,
+        leaf: child,
+        contacts: fresh.clone(),
+    };
+    c.sim.inject(parent, IsisMsg::Direct(HierPayload::Ctl(beacon)));
+    // Well inside one beacon period, so the child's own beacon cannot
+    // have overwritten the injected contacts yet.
+    c.run_for(SimDuration::from_millis(1));
+    assert_eq!(child_contacts(&c), fresh);
+}
+
 #[test]
 fn beacons_from_a_non_root_leaf_do_not_keep_a_dead_root_alive() {
     let mut c = large_cluster(24, LargeGroupConfig::new(3, 3), 31);
@@ -328,7 +358,6 @@ fn beacons_from_a_non_root_leaf_do_not_keep_a_dead_root_alive() {
         let beacon = CtlMsg::LeafBeacon {
             lgid: c.lgid,
             leaf: other.gid,
-            epoch: v.epoch,
             contacts: other.contacts.clone(),
         };
         c.sim

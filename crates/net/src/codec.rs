@@ -27,7 +27,7 @@ use std::fmt;
 /// Magic bytes "NW" (little-endian u16) opening every frame body.
 pub const MAGIC: u16 = 0x4E57;
 /// Codec version; bumped on any layout change.
-pub const VERSION: u8 = 1;
+pub const VERSION: u8 = 2;
 /// Maximum accepted body length (16 MiB). Larger claims are rejected
 /// before any allocation, so a corrupt length word cannot OOM the daemon.
 pub const MAX_FRAME_BODY: usize = 16 * 1024 * 1024;
@@ -272,9 +272,12 @@ mod tests {
         let mut bad_magic = out.clone();
         bad_magic[4] ^= 0xFF;
         assert!(matches!(decode_frame(&bad_magic), Err(CodecError::BadMagic(_))));
-        let mut bad_version = out.clone();
-        bad_version[6] = 99;
-        assert!(matches!(decode_frame(&bad_version), Err(CodecError::BadVersion(99))));
+        for old in [1, 99] {
+            let mut bad_version = out.clone();
+            bad_version[6] = old;
+            let rejected = decode_frame(&bad_version);
+            assert!(matches!(rejected, Err(CodecError::BadVersion(v)) if v == old));
+        }
         let mut bad_kind = out;
         bad_kind[7] = 42;
         assert!(matches!(decode_frame(&bad_kind), Err(CodecError::BadKind(42))));

@@ -385,11 +385,8 @@ wire_struct!(LeafDesc { gid, contacts, size });
 wire_struct!(HierView { lgid, epoch, fanout, resiliency, leaves, leader_contacts });
 wire_struct!(RoutingSlice {
     lgid,
-    epoch,
     my_index,
-    num_leaves,
     resiliency,
-    fanout,
     my_gid,
     parent,
     children,
@@ -398,10 +395,10 @@ wire_struct!(RoutingSlice {
 
 wire_enum!("tree_msg", TreeMsg<Q> {
     0 => Submit { lgid, id, payload },
-    1 => Forward { lgid, epoch, lseq, id, payload },
-    2 => LeafDeliver { lgid, epoch, lseq, id, ack_to, payload },
+    1 => Forward { lgid, lseq, id, payload },
+    2 => LeafDeliver { lgid, lseq, id, ack_to, payload },
     3 => MemberAck { lgid, lseq },
-    4 => SubtreeAck { lgid, epoch, lseq, leaf },
+    4 => SubtreeAck { lgid, lseq, leaf },
     5 => OriginAck { lgid, id, status },
 });
 
@@ -417,7 +414,7 @@ wire_enum!("ctl_msg", CtlMsg {
     8 => DoSplit { lgid, new_leaf, movers, leader_contacts },
     9 => DissolveLeaf { lgid, leaf, target, target_contacts },
     10 => DoDissolve { lgid, target, target_contacts, leader_contacts },
-    11 => LeafBeacon { lgid, leaf, epoch, contacts },
+    11 => LeafBeacon { lgid, leaf, contacts },
     12 => SlicePush { slice },
 });
 
@@ -435,5 +432,5 @@ wire_enum!("hier_payload", HierPayload<Q> { 0 => Biz(q), 1 => Tree(t), 2 => Ctl(
 wire_enum!("hier_state", HierState<S> {
     0 => None,
     1 => Leaf(s),
-    2 => Leader { view, next_slot, resiliency, min_leaf, max_leaf },
+    2 => Leader { view, next_slot, min_leaf, max_leaf },
 });
